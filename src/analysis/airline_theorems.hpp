@@ -20,6 +20,7 @@
 
 #include "analysis/compensation.hpp"
 #include "analysis/execution_checker.hpp"
+#include "analysis/prefix_index.hpp"
 #include "analysis/report.hpp"
 #include "apps/airline/airline.hpp"
 #include "apps/airline/witness.hpp"
@@ -226,10 +227,11 @@ template <class Air>
 CheckReport check_theorem22(const core::Execution<Air>& exec) {
   namespace al = apps::airline;
   CheckReport report("theorem 22 centralized zero overbooking");
-  if (!is_transitive(exec)) {
+  const PrefixIndex index(exec);
+  if (!is_transitive(index)) {
     report.add_violation("hypothesis fails: execution not transitive");
   }
-  if (!is_centralized<Air>(exec, [](const al::Request& r) {
+  if (!is_centralized<Air>(exec, index, [](const al::Request& r) {
         return r.kind == al::Request::Kind::kMoveUp;
       })) {
     report.add_violation("hypothesis fails: MOVE-UPs not centralized");
@@ -252,9 +254,8 @@ CheckReport check_theorem22(const core::Execution<Air>& exec) {
       }
     }
     for (std::size_t gi = 1; gi < group.size(); ++gi) {
-      const auto& prefix = exec.tx(group[gi]).prefix;
       for (std::size_t gj = 0; gj < gi; ++gj) {
-        if (!std::binary_search(prefix.begin(), prefix.end(), group[gj])) {
+        if (!index.contains(group[gi], group[gj])) {
           std::ostringstream os;
           os << "hypothesis fails: person " << al::person_name(p)
              << " transactions not centralized (tx " << group[gi]
@@ -283,10 +284,11 @@ template <class Air>
 CheckReport check_theorem23(const core::Execution<Air>& exec) {
   namespace al = apps::airline;
   CheckReport report("theorem 23 centralized zero overbooking (unique requests)");
-  if (!is_transitive(exec)) {
+  const PrefixIndex index(exec);
+  if (!is_transitive(index)) {
     report.add_violation("hypothesis fails: execution not transitive");
   }
-  if (!is_centralized<Air>(exec, [](const al::Request& r) {
+  if (!is_centralized<Air>(exec, index, [](const al::Request& r) {
         return r.kind == al::Request::Kind::kMoveUp;
       })) {
     report.add_violation("hypothesis fails: MOVE-UPs not centralized");

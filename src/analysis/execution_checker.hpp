@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "analysis/messages.hpp"
+#include "analysis/prefix_index.hpp"
 #include "analysis/report.hpp"
 #include "core/execution.hpp"
 
@@ -72,36 +73,45 @@ CheckReport check_prefix_subsequence_condition(
 
 /// Section 3.2 transitivity: "If T'' is in the prefix subsequence of T' and
 /// T' is in the prefix subsequence of T, then T'' is in the prefix
-/// subsequence of T." Checked as prefix-closure: prefix(j) ⊆ prefix(i) for
-/// every j ∈ prefix(i).
-template <core::Application App>
-bool is_transitive(const core::Execution<App>& exec) {
-  for (std::size_t i = 0; i < exec.size(); ++i) {
-    const auto& pi = exec.tx(i).prefix;  // sorted
-    for (std::size_t j : pi) {
-      for (std::size_t jj : exec.tx(j).prefix) {
-        if (!std::binary_search(pi.begin(), pi.end(), jj)) return false;
-      }
-    }
+/// subsequence of T." Checked as prefix-closure, prefix(j) ⊆ prefix(i) for
+/// every j ∈ prefix(i), one AND-NOT over the words of row j each. A prefix
+/// entry naming no transaction (>= size) makes the execution non-transitive.
+inline bool is_transitive(const PrefixIndex& index) {
+  if (!index.out_of_range().empty()) return false;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    bool closed = true;
+    index.for_each_member(i, [&](std::size_t j) {
+      closed = closed && index.includes(i, index.row(j));
+    });
+    if (!closed) return false;
   }
   return true;
 }
 
-/// First (i, j, jj) triple violating transitivity, for diagnostics.
+template <core::Application App>
+bool is_transitive(const core::Execution<App>& exec) {
+  return is_transitive(PrefixIndex(exec));
+}
+
+/// Every (i, j, jj) triple violating transitivity, ascending in i, then j,
+/// then jj; then, per transaction, each prefix entry naming no transaction.
 template <core::Application App>
 CheckReport check_transitive(const core::Execution<App>& exec) {
   CheckReport report("transitivity (§3.2)");
-  for (std::size_t i = 0; i < exec.size(); ++i) {
-    const auto& pi = exec.tx(i).prefix;
-    for (std::size_t j : pi) {
-      for (std::size_t jj : exec.tx(j).prefix) {
-        if (!std::binary_search(pi.begin(), pi.end(), jj)) {
-          std::ostringstream os;
-          os << "tx " << i << " sees tx " << j << " which sees tx " << jj
-             << ", but " << jj << " is not in tx " << i << "'s prefix";
-          report.add_violation(os.str(), i);
-        }
-      }
+  const PrefixIndex index(exec);
+  const auto& bad_refs = index.out_of_range();
+  auto bad = bad_refs.begin();
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    index.for_each_member(i, [&](std::size_t j) {
+      index.for_each_excluded(i, index.row(j), [&](std::size_t jj) {
+        std::ostringstream os;
+        os << "tx " << i << " sees tx " << j << " which sees tx " << jj
+           << ", but " << jj << " is not in tx " << i << "'s prefix";
+        report.add_violation(os.str(), i);
+      });
+    });
+    for (; bad != bad_refs.end() && bad->first == i; ++bad) {
+      report.add_violation(msg::prefix_non_preceding(i, bad->second), i);
     }
   }
   return report;
@@ -124,43 +134,43 @@ template <core::Application App>
 bool is_atomic(const core::Execution<App>& exec, std::size_t first,
                std::size_t last) {
   if (first > last || last >= exec.size()) return false;
-  std::vector<std::size_t> base;  // prefix of `first` restricted to < first
-  for (std::size_t idx : exec.tx(first).prefix) {
-    if (idx < first) base.push_back(idx);
-  }
+  const PrefixIndex index(exec);
   for (std::size_t j = first; j <= last; ++j) {
-    const auto& pj = exec.tx(j).prefix;
-    // (a): must contain first..j-1 exactly as the in-range part.
+    // (a): must contain first..j-1.
     for (std::size_t kk = first; kk < j; ++kk) {
-      if (!std::binary_search(pj.begin(), pj.end(), kk)) return false;
+      if (!index.contains(j, kk)) return false;
     }
-    // (b): the part below `first` must equal base.
-    std::vector<std::size_t> below;
-    for (std::size_t idx : pj) {
-      if (idx < first) below.push_back(idx);
+    // (b): the part below `first` must equal that of `first` itself.
+    for (std::size_t idx = 0; idx < first; ++idx) {
+      if (index.contains(j, idx) != index.contains(first, idx)) return false;
     }
-    if (below != base) return false;
   }
   return true;
 }
 
 /// Section 3.2 centralization: "each of the transactions in G includes in
 /// its prefix subsequence all the others from G which precede it."
-/// `in_group` classifies transactions by their request.
+/// `in_group` classifies transactions by their request. The members seen so
+/// far are one bitset, tested against each new member's row word by word.
+template <core::Application App>
+bool is_centralized(
+    const core::Execution<App>& exec, const PrefixIndex& index,
+    const std::function<bool(const typename App::Request&)>& in_group) {
+  std::vector<PrefixIndex::Word> members(index.words(), 0);
+  for (std::size_t i = 0; i < exec.size(); ++i) {
+    if (!in_group(exec.tx(i).request)) continue;
+    if (!index.includes(i, members)) return false;
+    members[i / PrefixIndex::kWordBits] |= PrefixIndex::Word{1}
+                                           << (i % PrefixIndex::kWordBits);
+  }
+  return true;
+}
+
 template <core::Application App>
 bool is_centralized(
     const core::Execution<App>& exec,
     const std::function<bool(const typename App::Request&)>& in_group) {
-  std::vector<std::size_t> group_members;
-  for (std::size_t i = 0; i < exec.size(); ++i) {
-    if (!in_group(exec.tx(i).request)) continue;
-    const auto& pi = exec.tx(i).prefix;
-    for (std::size_t g : group_members) {
-      if (!std::binary_search(pi.begin(), pi.end(), g)) return false;
-    }
-    group_members.push_back(i);
-  }
-  return true;
+  return is_centralized<App>(exec, PrefixIndex(exec), in_group);
 }
 
 /// Section 3.2: "if the order of real times is monotonic, we say that the
@@ -178,12 +188,11 @@ bool is_orderly(const core::Execution<App>& exec) {
 /// smaller than T's real time."
 template <core::Application App>
 bool has_t_bounded_delay(const core::Execution<App>& exec, double t) {
+  const PrefixIndex index(exec);
   for (std::size_t i = 0; i < exec.size(); ++i) {
     const auto& tx = exec.tx(i);
-    const auto& pi = tx.prefix;
     for (std::size_t j = 0; j < i; ++j) {
-      if (exec.tx(j).real_time <= tx.real_time - t &&
-          !std::binary_search(pi.begin(), pi.end(), j)) {
+      if (exec.tx(j).real_time <= tx.real_time - t && !index.contains(i, j)) {
         return false;
       }
     }
@@ -195,12 +204,12 @@ bool has_t_bounded_delay(const core::Execution<App>& exec, double t) {
 /// "information staleness" of a run; swept in experiment E7).
 template <core::Application App>
 double min_bounded_delay(const core::Execution<App>& exec) {
+  const PrefixIndex index(exec);
   double t = 0.0;
   for (std::size_t i = 0; i < exec.size(); ++i) {
     const auto& tx = exec.tx(i);
-    const auto& pi = tx.prefix;
     for (std::size_t j = 0; j < i; ++j) {
-      if (!std::binary_search(pi.begin(), pi.end(), j)) {
+      if (!index.contains(i, j)) {
         t = std::max(t, tx.real_time - exec.tx(j).real_time);
       }
     }

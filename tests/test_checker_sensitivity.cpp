@@ -16,6 +16,7 @@
 #include "analysis/execution_checker.hpp"
 #include "analysis/fairness.hpp"
 #include "analysis/incident.hpp"
+#include "analysis/messages.hpp"
 #include "analysis/streaming.hpp"
 #include "apps/airline/airline.hpp"
 #include "core/scripted.hpp"
@@ -121,6 +122,27 @@ TEST(CheckerSensitivity, TransitivityHoleDetected) {
   sx.run(Request::request(3), {1});  // sees 1 but not 0: not transitive
   EXPECT_FALSE(analysis::is_transitive(sx.execution()));
   EXPECT_FALSE(analysis::check_transitive(sx.execution()).ok());
+}
+
+TEST(CheckerSensitivity, OutOfRangePrefixEntryReportedNotThrown) {
+  // The raw constructor accepts a prefix naming a transaction that does
+  // not exist; transitivity must report it instead of indexing past the
+  // execution.
+  auto txs = valid_execution(5).transactions();
+  ASSERT_GT(txs.size(), 4u);
+  const std::size_t victim = txs.size() / 2;
+  const std::size_t ref = txs.size() + 3;
+  txs[victim].prefix.push_back(ref);
+  const core::Execution<Air> forged(std::move(txs));
+  bool transitive = true;
+  EXPECT_NO_THROW(transitive = analysis::is_transitive(forged));
+  EXPECT_FALSE(transitive);
+  analysis::CheckReport report;
+  EXPECT_NO_THROW(report = analysis::check_transitive(forged));
+  ASSERT_EQ(report.violations().size(), 1u);
+  EXPECT_EQ(report.violations()[0],
+            analysis::msg::prefix_non_preceding(victim, ref));
+  EXPECT_EQ(report.violation_tx(0), victim);
 }
 
 TEST(CheckerSensitivity, Theorem5CheckerRejectsWrongBound) {
