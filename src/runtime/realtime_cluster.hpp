@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -39,6 +38,7 @@
 #include "runtime/threaded_backend.hpp"
 #include "runtime/validate.hpp"
 #include "shard/node.hpp"
+#include "shard/node_set.hpp"
 #include "sim/rng.hpp"
 
 namespace runtime {
@@ -89,12 +89,9 @@ class RealtimeCluster {
     }
     hooks.on_message_fate = [this](NodeId src, NodeId dst, std::uint64_t id,
                                    MessageFate fate) {
-      const obs::EventType type = fate_event_type(fate);
-      const bool at_dst = type == obs::EventType::kNetDeliver ||
-                          (type == obs::EventType::kNetDropCrashed && id != 0);
-      tracer_.shard(at_dst ? dst : src)
-          .record(type, backend_.now(), at_dst ? dst : src, 0, 0,
-                  at_dst ? src : dst, id);
+      shard::record_message_fate(
+          [this](NodeId n) -> obs::Tracer& { return tracer_.shard(n); },
+          backend_.now(), src, dst, id, fate);
     };
     backend_.set_hooks(std::move(hooks));
     sim::Rng master(config_.seed);
@@ -167,54 +164,16 @@ class RealtimeCluster {
   obs::ShardedTracer& tracer() { return tracer_; }
 
   std::uint64_t total_originated() const {
-    std::uint64_t total = 0;
-    for (const auto& n : nodes_) total += n->originated().size();
-    return total;
+    return shard::total_originated(nodes_);
   }
-
-  bool converged() const {
-    const std::uint64_t total = total_originated();
-    for (const auto& n : nodes_) {
-      if (n->updates_known() != total) return false;
-    }
-    for (std::size_t i = 1; i < nodes_.size(); ++i) {
-      if (!(nodes_[i]->state() == nodes_[0]->state())) return false;
-    }
-    return true;
-  }
-
+  bool converged() const { return shard::converged(nodes_); }
   core::PrefixRef::Resolver prefix_resolver() const {
-    return [this](core::NodeId origin, std::uint64_t origin_seq) {
-      return nodes_.at(origin)->originated().at(origin_seq - 1).ts;
-    };
+    return shard::prefix_resolver(nodes_);
   }
-
-  /// Assemble the formal execution — identical shape to
-  /// shard::Cluster::execution(), so the whole analysis stack applies.
+  /// The formal execution, assembled exactly as shard::Cluster::execution()
+  /// does, so the whole analysis stack applies.
   core::Execution<App> execution() const {
-    std::map<core::Timestamp, const typename NodeT::Record*> by_ts;
-    for (const auto& n : nodes_) {
-      for (const auto& rec : n->originated()) by_ts.emplace(rec.ts, &rec);
-    }
-    std::map<core::Timestamp, std::size_t> index_of;
-    std::size_t next = 0;
-    for (const auto& [ts, rec] : by_ts) index_of.emplace(ts, next++);
-    const core::PrefixRef::Resolver resolve = prefix_resolver();
-    core::Execution<App> exec;
-    for (const auto& [ts, rec] : by_ts) {
-      core::TxInstance<App> tx;
-      tx.ts = rec->ts;
-      tx.origin = rec->origin;
-      tx.real_time = rec->real_time;
-      tx.request = rec->request;
-      tx.update = rec->update;
-      tx.external_actions = rec->external_actions;
-      const std::vector<core::Timestamp> pts = rec->prefix.expand(resolve);
-      tx.prefix.reserve(pts.size());
-      for (const core::Timestamp& p : pts) tx.prefix.push_back(index_of.at(p));
-      exec.append(std::move(tx));
-    }
-    return exec;
+    return shard::assemble_execution(nodes_);
   }
 
   /// The merged trace (per-node shards interleaved by the shared stamp).
@@ -274,22 +233,6 @@ class RealtimeCluster {
       if (!(states[i] == states[0])) return false;
     }
     return true;
-  }
-
-  static obs::EventType fate_event_type(MessageFate fate) {
-    switch (fate) {
-      case MessageFate::kSent:
-        return obs::EventType::kNetSend;
-      case MessageFate::kDelivered:
-        return obs::EventType::kNetDeliver;
-      case MessageFate::kDroppedPartition:
-        return obs::EventType::kNetDropPartition;
-      case MessageFate::kDroppedRandom:
-        return obs::EventType::kNetDropRandom;
-      case MessageFate::kDroppedCrashed:
-        return obs::EventType::kNetDropCrashed;
-    }
-    return obs::EventType::kNetSend;  // unreachable
   }
 
   RealtimeConfig config_;

@@ -29,6 +29,7 @@
 #include "runtime/hooks.hpp"
 #include "runtime/sim_backend.hpp"
 #include "shard/node.hpp"
+#include "shard/node_set.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -240,68 +241,22 @@ class Cluster {
 
   /// Every node knows every update (and therefore, by the merge invariant,
   /// every replica state is identical) — the paper's mutual consistency.
-  bool converged() const {
-    const std::uint64_t total = total_originated();
-    for (const auto& n : nodes_) {
-      if (n->updates_known() != total) return false;
-    }
-    for (std::size_t i = 1; i < nodes_.size(); ++i) {
-      if (!(nodes_[i]->state() == nodes_[0]->state())) return false;
-    }
-    return true;
-  }
+  bool converged() const { return shard::converged(nodes_); }
 
   std::uint64_t total_originated() const {
-    std::uint64_t total = 0;
-    for (const auto& n : nodes_) total += n->originated().size();
-    return total;
+    return shard::total_originated(nodes_);
   }
 
-  /// Maps (origin, 1-based broadcast seq) to that broadcast's timestamp:
-  /// origin o's seq-th broadcast is its (seq-1)-th originated record. This
-  /// is the lazy half of prefix interning — Records carry O(#nodes)
-  /// references (core::PrefixRef); only the analysis layer, through this
-  /// resolver, ever materializes the O(history) timestamp sets.
+  /// Maps (origin, 1-based broadcast seq) to that broadcast's timestamp
+  /// (see shard::prefix_resolver).
   core::PrefixRef::Resolver prefix_resolver() const {
-    return [this](core::NodeId origin, std::uint64_t origin_seq) {
-      return nodes_.at(origin)->originated().at(origin_seq - 1).ts;
-    };
+    return shard::prefix_resolver(nodes_);
   }
 
   /// Assemble the formal execution: all transactions from all origins in
   /// global timestamp order, interned prefixes expanded (via
   /// prefix_resolver) and mapped from timestamps to indices.
-  core::Execution<App> execution() const {
-    // Collect (timestamp -> record) across nodes; std::map orders by ts.
-    std::map<core::Timestamp, const typename NodeT::Record*> by_ts;
-    for (const auto& n : nodes_) {
-      for (const auto& rec : n->originated()) {
-        by_ts.emplace(rec.ts, &rec);
-      }
-    }
-    std::map<core::Timestamp, std::size_t> index_of;
-    std::size_t next = 0;
-    for (const auto& [ts, rec] : by_ts) index_of.emplace(ts, next++);
-
-    const core::PrefixRef::Resolver resolve = prefix_resolver();
-    core::Execution<App> exec;
-    for (const auto& [ts, rec] : by_ts) {
-      core::TxInstance<App> tx;
-      tx.ts = rec->ts;
-      tx.origin = rec->origin;
-      tx.real_time = rec->real_time;
-      tx.request = rec->request;
-      tx.update = rec->update;
-      tx.external_actions = rec->external_actions;
-      const std::vector<core::Timestamp> pts = rec->prefix.expand(resolve);
-      tx.prefix.reserve(pts.size());
-      for (const core::Timestamp& p : pts) {
-        tx.prefix.push_back(index_of.at(p));
-      }
-      exec.append(std::move(tx));
-    }
-    return exec;
-  }
+  core::Execution<App> execution() const { return assemble_execution(nodes_); }
 
   sim::Scheduler& scheduler() { return scheduler_; }
   sim::Network& network() { return *network_; }
@@ -546,17 +501,9 @@ class Cluster {
       hooks_.on_message_fate = [this](sim::NodeId src, sim::NodeId dst,
                                       std::uint64_t id,
                                       runtime::MessageFate fate) {
-        // Send-side fates belong to the source's program order; delivery
-        // and delivery-time crash drops (id != 0: the message travelled)
-        // belong to the destination's — so the causal graph threads each
-        // node's track through the deliveries it actually observed.
-        const obs::EventType type = fate_event_type(fate);
-        const bool at_dst =
-            type == obs::EventType::kNetDeliver ||
-            (type == obs::EventType::kNetDropCrashed && id != 0);
-        node_tracer(at_dst ? dst : src)
-            ->record(type, scheduler_.now(), at_dst ? dst : src, 0, 0,
-                     at_dst ? src : dst, id);
+        record_message_fate(
+            [this](sim::NodeId n) -> obs::Tracer& { return *node_tracer(n); },
+            scheduler_.now(), src, dst, id, fate);
       };
     }
     hooks_.stream_observer = stream_obs_;
@@ -639,22 +586,6 @@ class Cluster {
             return true;
           });
     }
-  }
-
-  static obs::EventType fate_event_type(sim::Network::MessageFate fate) {
-    switch (fate) {
-      case sim::Network::MessageFate::kSent:
-        return obs::EventType::kNetSend;
-      case sim::Network::MessageFate::kDelivered:
-        return obs::EventType::kNetDeliver;
-      case sim::Network::MessageFate::kDroppedPartition:
-        return obs::EventType::kNetDropPartition;
-      case sim::Network::MessageFate::kDroppedRandom:
-        return obs::EventType::kNetDropRandom;
-      case sim::Network::MessageFate::kDroppedCrashed:
-        return obs::EventType::kNetDropCrashed;
-    }
-    return obs::EventType::kNetSend;  // unreachable
   }
 
   Config config_;

@@ -32,13 +32,14 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "core/execution.hpp"
 #include "core/model.hpp"
 #include "core/timestamp.hpp"
-#include "shard/engine_stats.hpp"
+#include "net/broadcast.hpp"
+#include "runtime/api.hpp"
+#include "runtime/sim_backend.hpp"
 #include "shard/update_log.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -107,6 +108,78 @@ struct GroupStateMachine {
   static void apply(const Update& u, State& s) { A::apply(u, s); }
 };
 
+/// The view of the shared network that one group's broadcast endpoints
+/// see: the group's replicas are nodes 0..r-1 (local id i is global node
+/// members[i]), and every packet travels on the shared sim::Network tagged
+/// with the group id, so the receiving node hands it to the right group's
+/// endpoint. Partitions, delays and drops apply by global id.
+class GroupTransport final : public runtime::Transport {
+ public:
+  GroupTransport(sim::Network& network, GroupId group,
+                 std::vector<core::NodeId> members)
+      : net_(network),
+        group_(group),
+        members_(std::move(members)),
+        handlers_(members_.size()) {}
+
+  // The group's endpoints keep a pointer to their transport.
+  GroupTransport(const GroupTransport&) = delete;
+  GroupTransport& operator=(const GroupTransport&) = delete;
+
+  /// The group a packet on the shared network belongs to.
+  static GroupId group_of(const sim::Message& m) {
+    return std::any_cast<const Tagged&>(m.payload).group;
+  }
+
+  /// Hand a packet of this group, received from the shared network, to the
+  /// endpoint at its destination, with both ends renamed to local ids.
+  void deliver(const sim::Message& m) const {
+    const runtime::NodeId dst = local_id(m.dst);
+    handlers_[dst](sim::Message{local_id(m.src), dst, m.id,
+                                std::any_cast<const Tagged&>(m.payload).inner});
+  }
+
+  void register_node(runtime::NodeId node, Handler handler) override {
+    handlers_.at(node) = std::move(handler);
+  }
+  std::size_t node_count() const override { return members_.size(); }
+  std::uint64_t send(runtime::NodeId src, runtime::NodeId dst,
+                     std::any payload) override {
+    return net_.send(members_[src], members_[dst],
+                     std::any(Tagged{group_, std::move(payload)}));
+  }
+  std::size_t send_to_all(runtime::NodeId src,
+                          const std::any& payload) override {
+    for (runtime::NodeId dst = 0; dst < members_.size(); ++dst) {
+      if (dst != src) send(src, dst, payload);
+    }
+    return members_.size() - 1;
+  }
+  void set_node_down(runtime::NodeId node, bool down) override {
+    net_.set_node_down(members_[node], down);
+  }
+  bool node_down(runtime::NodeId node) const override {
+    return net_.node_down(members_[node]);
+  }
+
+ private:
+  struct Tagged {
+    GroupId group = 0;
+    std::any inner;
+  };
+
+  runtime::NodeId local_id(core::NodeId global) const {
+    return static_cast<runtime::NodeId>(
+        std::find(members_.begin(), members_.end(), global) -
+        members_.begin());
+  }
+
+  sim::Network& net_;
+  GroupId group_;
+  std::vector<core::NodeId> members_;
+  std::vector<Handler> handlers_;
+};
+
 /// A partially replicated SHARD cluster.
 template <PartialApplication A>
 class PartialCluster {
@@ -142,8 +215,8 @@ class PartialCluster {
   struct Stats {
     std::uint64_t routed = 0;
     std::uint64_t unroutable = 0;  ///< no node hosts all required groups
-    std::uint64_t wires_sent = 0;
-    std::uint64_t repairs_sent = 0;
+    std::uint64_t wires_sent = 0;    ///< flood sends: each write x (r - 1)
+    std::uint64_t repairs_sent = 0;  ///< updates resent by anti-entropy
   };
 
   explicit PartialCluster(Config config)
@@ -154,29 +227,42 @@ class PartialCluster {
     }
     network_ = std::make_unique<sim::Network>(scheduler_, config_.network,
                                               rng_.fork_seed());
+    nodes_.resize(config_.num_nodes);
+    for (core::NodeId n = 0; n < config_.num_nodes; ++n) {
+      nodes_[n] = std::make_unique<NodeState>(n);
+      network_->register_node(n, [this](const sim::Message& m) {
+        transports_[GroupTransport::group_of(m)]->deliver(m);
+      });
+    }
     // Placement: group g lives on r consecutive nodes starting at g mod n.
+    // Each replica gets the group's log and a broadcast endpoint with
+    // arrival-order, at-most-once delivery and per-group anti-entropy.
+    net::BroadcastOptions options;
+    options.causal = false;
+    options.anti_entropy_interval = config_.anti_entropy_interval;
     replicas_.resize(config_.num_groups);
     for (GroupId g = 0; g < config_.num_groups; ++g) {
       for (std::size_t j = 0; j < config_.replication_factor; ++j) {
         replicas_[g].push_back(static_cast<core::NodeId>(
             (g + j) % config_.num_nodes));
       }
-    }
-    nodes_.resize(config_.num_nodes);
-    for (core::NodeId n = 0; n < config_.num_nodes; ++n) {
-      nodes_[n] = std::make_unique<NodeState>(n, config_.checkpoint_interval);
-      network_->register_node(
-          n, [this, n](const sim::Message& m) { on_message(n, m); });
-    }
-    for (GroupId g = 0; g < config_.num_groups; ++g) {
-      for (core::NodeId n : replicas_[g]) {
-        nodes_[n]->logs.emplace(g, GroupLog(config_.checkpoint_interval));
+      transports_.push_back(
+          std::make_unique<GroupTransport>(*network_, g, replicas_[g]));
+      for (std::size_t i = 0; i < replicas_[g].size(); ++i) {
+        NodeState& node = *nodes_[replicas_[g][i]];
+        node.logs.emplace(g, GroupLog(config_.checkpoint_interval));
+        node.endpoints.emplace(
+            g, std::make_unique<Broadcast>(
+                   executor_, *transports_[g],
+                   static_cast<sim::NodeId>(i), replicas_[g].size(), options,
+                   rng_.fork_seed(), [&node, g](const Broadcast::Wire& w) {
+                     node.clock.observe(w.payload.ts);
+                     node.logs.at(g).insert({w.payload.ts, w.payload.update});
+                   }));
       }
     }
-    if (config_.anti_entropy_interval > 0.0) {
-      for (core::NodeId n = 0; n < config_.num_nodes; ++n) {
-        schedule_anti_entropy(n);
-      }
+    for (auto& node : nodes_) {
+      for (auto& [g, endpoint] : node->endpoints) endpoint->start();
     }
   }
 
@@ -325,7 +411,20 @@ class PartialCluster {
     return nodes_.at(n)->logs.size();
   }
 
-  const Stats& stats() const { return stats_; }
+  /// Routing counters, plus the flood and repair traffic summed over the
+  /// broadcast endpoints.
+  Stats stats() const {
+    Stats s = stats_;
+    for (const auto& node : nodes_) {
+      for (const auto& [g, endpoint] : node->endpoints) {
+        const net::BroadcastStats& b = endpoint->stats();
+        s.wires_sent += b.originated * (replicas_[g].size() - 1);
+        s.repairs_sent += b.anti_entropy_repairs;
+      }
+    }
+    return s;
+  }
+
   sim::Scheduler& scheduler() { return scheduler_; }
   const Config& config() const { return config_; }
   const std::vector<Record>& originated_at(core::NodeId n) const {
@@ -333,41 +432,25 @@ class PartialCluster {
   }
 
  private:
-  enum class PacketType { kWire, kDigest, kRepair };
-  struct Wire {
-    GroupId group = 0;
-    core::NodeId origin = 0;
-    std::uint64_t origin_seq = 0;  // per (origin, group)
+  /// What one group's broadcast carries: the transaction's timestamp and
+  /// its write to the group.
+  struct Envelope {
     core::Timestamp ts;
     Update update;
   };
-  struct Packet {
-    PacketType type = PacketType::kWire;
-    Wire wire;
-    GroupId digest_group = 0;
-    std::vector<std::uint64_t> digest_have;  // per origin node
-    std::vector<Wire> repairs;
-  };
+  using Broadcast = net::ReliableBroadcast<Envelope>;
 
   struct NodeState {
-    core::NodeId id;
     core::LamportClock clock;
     std::map<GroupId, GroupLog> logs;
+    std::map<GroupId, std::unique_ptr<Broadcast>> endpoints;
     std::vector<Record> originated;
-    /// Per (group, origin): contiguous received prefix + out-of-order
-    /// extras, for dedup and anti-entropy digests. Wire sequence numbers
-    /// are per (origin, group).
-    std::map<GroupId, std::vector<std::uint64_t>> contiguous_have;
-    std::map<GroupId, std::vector<std::unordered_set<std::uint64_t>>> extras;
-    /// Repair store: every wire received, per group/origin/seq.
-    std::map<GroupId, std::map<core::NodeId, std::map<std::uint64_t, Wire>>>
-        store_;
-    std::map<GroupId, std::uint64_t> own_seq;
 
-    NodeState(core::NodeId n, std::size_t) : id(n), clock(n) {}
+    explicit NodeState(core::NodeId n) : clock(n) {}
   };
 
   Record run_at(core::NodeId node_id, const Request& request, sim::Time now) {
+    if (node_id >= nodes_.size()) throw std::out_of_range("no such node");
     NodeState& node = *nodes_[node_id];
     const std::vector<GroupId> groups = A::groups_of(request);
     for (GroupId g : groups) {
@@ -395,119 +478,23 @@ class PartialCluster {
                                  node.logs.at(w.group).known_timestamps());
     }
     node.originated.push_back(rec);
+    // Each broadcast merges locally first, then floods the group's other
+    // replicas.
     for (const auto& w : rec.writes) {
-      Wire wire;
-      wire.group = w.group;
-      wire.origin = node_id;
-      wire.origin_seq = ++node.own_seq[w.group];
-      wire.ts = rec.ts;
-      wire.update = w.update;
-      ingest(node, wire);  // local merge first
-      for (core::NodeId peer : replicas_[w.group]) {
-        if (peer == node_id) continue;
-        Packet p;
-        p.type = PacketType::kWire;
-        p.wire = wire;
-        ++stats_.wires_sent;
-        network_->send(node_id, peer, std::any(std::move(p)));
-      }
+      node.endpoints.at(w.group)->broadcast(Envelope{rec.ts, w.update});
     }
     return rec;
-  }
-
-  void on_message(core::NodeId self, const sim::Message& m) {
-    NodeState& node = *nodes_[self];
-    const auto& p = std::any_cast<const Packet&>(m.payload);
-    switch (p.type) {
-      case PacketType::kWire:
-        ingest(node, p.wire);
-        break;
-      case PacketType::kDigest:
-        answer_digest(self, m.src, p);
-        break;
-      case PacketType::kRepair:
-        for (const Wire& w : p.repairs) ingest(node, w);
-        break;
-    }
-  }
-
-  void ingest(NodeState& node, const Wire& w) {
-    auto& have = node.contiguous_have[w.group];
-    auto& extra = node.extras[w.group];
-    if (have.size() < config_.num_nodes) have.resize(config_.num_nodes, 0);
-    if (extra.size() < config_.num_nodes) extra.resize(config_.num_nodes);
-    if (w.origin_seq <= have[w.origin] ||
-        extra[w.origin].contains(w.origin_seq)) {
-      return;  // duplicate
-    }
-    extra[w.origin].insert(w.origin_seq);
-    while (extra[w.origin].contains(have[w.origin] + 1)) {
-      ++have[w.origin];
-      extra[w.origin].erase(have[w.origin]);
-    }
-    node.store_[w.group][w.origin][w.origin_seq] = w;
-    node.clock.observe(w.ts);
-    node.logs.at(w.group).insert({w.ts, w.update});
-  }
-
-  void schedule_anti_entropy(core::NodeId n) {
-    const sim::Time dt =
-        config_.anti_entropy_interval + rng_.uniform(0.0, 0.1);
-    scheduler_.schedule_after(dt, [this, n] {
-      run_anti_entropy_round(n);
-      schedule_anti_entropy(n);
-    });
-  }
-
-  void run_anti_entropy_round(core::NodeId self) {
-    NodeState& node = *nodes_[self];
-    // One digest per hosted group, to a random co-replica.
-    for (const auto& [g, log] : node.logs) {
-      const auto& reps = replicas_[g];
-      if (reps.size() < 2) continue;
-      core::NodeId peer;
-      do {
-        peer = reps[static_cast<std::size_t>(rng_.uniform_int(
-            0, static_cast<std::int64_t>(reps.size()) - 1))];
-      } while (peer == self);
-      Packet p;
-      p.type = PacketType::kDigest;
-      p.digest_group = g;
-      auto& have = node.contiguous_have[g];
-      if (have.size() < config_.num_nodes) have.resize(config_.num_nodes, 0);
-      p.digest_have = have;
-      network_->send(self, peer, std::any(std::move(p)));
-    }
-  }
-
-  void answer_digest(core::NodeId self, core::NodeId requester,
-                     const Packet& digest) {
-    NodeState& node = *nodes_[self];
-    const GroupId g = digest.digest_group;
-    Packet reply;
-    reply.type = PacketType::kRepair;
-    auto& have = node.contiguous_have[g];
-    if (have.size() < config_.num_nodes) have.resize(config_.num_nodes, 0);
-    for (core::NodeId origin = 0; origin < config_.num_nodes; ++origin) {
-      const std::uint64_t theirs = origin < digest.digest_have.size()
-                                       ? digest.digest_have[origin]
-                                       : 0;
-      for (std::uint64_t seq = theirs + 1; seq <= have[origin]; ++seq) {
-        reply.repairs.push_back(node.store_[g][origin][seq]);
-      }
-    }
-    if (reply.repairs.empty()) return;
-    stats_.repairs_sent += reply.repairs.size();
-    network_->send(self, requester, std::any(std::move(reply)));
   }
 
   Config config_;
   sim::Rng rng_;
   sim::Scheduler scheduler_;
+  runtime::SimExecutor executor_{scheduler_};
   std::unique_ptr<sim::Network> network_;
   std::vector<std::vector<core::NodeId>> replicas_;
+  std::vector<std::unique_ptr<GroupTransport>> transports_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
-  Stats stats_;
+  Stats stats_;  ///< routed / unroutable only; see stats()
 };
 
 }  // namespace shard

@@ -4,6 +4,11 @@
 // projection is a SHARD execution satisfying the paper's conditions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "apps/banking/sharded.hpp"
 #include "apps/dictionary/sharded.hpp"
 #include "harness/scenario.hpp"
@@ -229,6 +234,113 @@ TEST(Partial, StorageScalesWithReplicationFactor) {
   const auto s4 = run(4);
   EXPECT_EQ(s2, 40u * 2u);
   EXPECT_EQ(s4, 40u * 4u);  // full replication doubles the storage
+}
+
+TEST(Partial, SubmitAtUnknownNodeThrows) {
+  shard::PartialCluster<ShardedBanking> cluster(bank_config(4, 8, 2, 15));
+  EXPECT_THROW(cluster.submit_now_at(4, ShardedRequest::deposit(0, 10)),
+               std::out_of_range);
+  EXPECT_EQ(cluster.stats().routed, 0u);
+}
+
+// Delivery-independent oracle: the counters PartialCluster reports are
+// recomputed from placement (replicas_of) and from the origin records
+// alone, so they hold whatever order the broadcast layer delivered in.
+
+/// A seeded deposit/withdraw/transfer stream over `groups` accounts.
+std::vector<std::pair<double, ShardedRequest>> mixed_stream(
+    std::size_t groups, std::uint64_t seed, int count) {
+  sim::Rng rng(seed);
+  std::vector<std::pair<double, ShardedRequest>> out;
+  const auto account = [&] {
+    return static_cast<bk::AccountId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(groups) - 1));
+  };
+  for (int i = 0; i < count; ++i) {
+    const double t = rng.uniform(0.1, 10.0);
+    const auto a = account();
+    const double roll = rng.uniform01();
+    if (roll < 0.4) {
+      out.emplace_back(t, ShardedRequest::deposit(a, rng.uniform_int(1, 80)));
+    } else if (roll < 0.7) {
+      out.emplace_back(t, ShardedRequest::withdraw(a, rng.uniform_int(1, 80)));
+    } else {
+      auto b = account();
+      if (b == a) b = static_cast<bk::AccountId>((b + 1) % groups);
+      out.emplace_back(t, ShardedRequest::transfer(a, b, rng.uniform_int(1, 60)));
+    }
+  }
+  return out;
+}
+
+/// Does some node host every group in `groups`, by placement alone?
+bool hostable(const shard::PartialCluster<ShardedBanking>& cluster,
+              const std::vector<shard::GroupId>& groups) {
+  for (core::NodeId n = 0; n < cluster.config().num_nodes; ++n) {
+    bool all = true;
+    for (shard::GroupId g : groups) {
+      const auto& reps = cluster.replicas_of(g);
+      all = all && std::find(reps.begin(), reps.end(), n) != reps.end();
+    }
+    if (all) return true;
+  }
+  return false;
+}
+
+TEST(PartialOracle, UnroutableMatchesPlacementAndWiresMatchRecords) {
+  constexpr std::size_t kNodes = 5;
+  constexpr std::size_t kGroups = 10;
+  for (const std::size_t r : {1u, 2u, 3u, 5u}) {
+    SCOPED_TRACE("r=" + std::to_string(r));
+    shard::PartialCluster<ShardedBanking> cluster(
+        bank_config(kNodes, kGroups, r, 40 + r));
+    const auto stream = mixed_stream(kGroups, 41, 200);
+    std::uint64_t expect_unroutable = 0;
+    for (const auto& [t, req] : stream) {
+      if (!hostable(cluster, ShardedBanking::groups_of(req))) {
+        ++expect_unroutable;
+      }
+      cluster.submit_at(t, req);
+    }
+    cluster.run_until(10.0);
+    cluster.settle();
+    EXPECT_EQ(cluster.stats().unroutable, expect_unroutable);
+    EXPECT_EQ(cluster.stats().routed, stream.size() - expect_unroutable);
+    if (r == 5) {
+      EXPECT_EQ(expect_unroutable, 0u);
+    }
+
+    // Every write is flooded to its group's other r - 1 replicas.
+    std::uint64_t expect_wires = 0;
+    for (core::NodeId n = 0; n < kNodes; ++n) {
+      for (const auto& rec : cluster.originated_at(n)) {
+        for (const auto& w : rec.writes) {
+          expect_wires += cluster.replicas_of(w.group).size() - 1;
+        }
+      }
+    }
+    EXPECT_EQ(cluster.stats().wires_sent, expect_wires);
+    if (r == 1) {
+      EXPECT_EQ(expect_wires, 0u);
+    }
+  }
+}
+
+TEST(PartialOracle, AntiEntropyRepairsAcrossPartition) {
+  // Writes made on one side of a half/half cut cannot be flooded to the
+  // other side's replicas; only the per-group anti-entropy brings them
+  // over after the heal.
+  auto cfg = bank_config(4, 8, 2, 42);
+  cfg.network.partitions =
+      sim::FaultPlan{}.split_halves(4, 2, 0.5, 6.0).partitions();
+  shard::PartialCluster<ShardedBanking> cluster(cfg);
+  for (const auto& [t, req] : mixed_stream(8, 43, 120)) {
+    cluster.submit_at(t, req);
+  }
+  cluster.run_until(10.0);
+  cluster.settle();
+  EXPECT_TRUE(cluster.converged());
+  EXPECT_GT(cluster.stats().repairs_sent, 0u);
 }
 
 }  // namespace
