@@ -44,10 +44,10 @@ The gate is designed to be machine-independent:
 * e25 (open-loop saturation harness): the simulated side is deterministic —
   convergence, cross-row replica-state agreement, and the packet / batch /
   outbox-sync counters are gated per row. Wall-clock throughput is machine
-  noise and only reported, EXCEPT the within-run speedup of the optimized
-  row over the aos-unbatched ablation (same binary, same machine — a ratio
-  like e10's), which must clear the constant-factor floor
-  ("speedup_floor" in the baseline, default 1.5).
+  noise and only reported, EXCEPT the within-run speedup of the batched
+  row over the unbatched row (same binary, same machine — a ratio like
+  e10's), which must clear the constant-factor floor ("speedup_floor" in
+  the baseline, default 1.5).
 
 * e24 (flame-attribution harness): the equivalence gates are exact — the
   sharded tracer's stream must be byte-identical to the legacy global
@@ -150,7 +150,7 @@ def key_tolerance(base, key, default):
 
     Exact match on the composed gate key wins; otherwise a prefix or suffix
     match lets one entry cover a metric across every mode/seed row (e.g.
-    "net.sent" matches "mode=soa-batched net.sent").
+    "net.sent" matches "mode=batched net.sent").
     """
     overrides = base.get("tolerance_overrides") or {}
     if key in overrides:
@@ -459,7 +459,7 @@ def compare_e24(base, cur, tol):
 
 
 # Per-row deterministic counters of an e25 row: pure functions of the
-# precomputed open-loop schedule and the row's config (layout, max_batch).
+# precomputed open-loop schedule and the row's max_batch.
 E25_COUNTERS = [
     "e25.txs",
     "broadcast.originated",
@@ -472,10 +472,10 @@ E25_COUNTERS = [
     "net.delivered",
 ]
 
-# The constant-factor claim: the optimized row (SoA + batched floods +
-# group commit) must sustain at least this multiple of the aos-unbatched
-# ablation's saturation throughput. A within-run ratio of the same binary
-# on the same machine — the one wall-clock-derived number that IS gated.
+# The constant-factor claim: the batched row (batched floods + group commit)
+# must sustain at least this multiple of the unbatched row's saturation
+# throughput. A within-run ratio of the same binary on the same machine —
+# the one wall-clock-derived number that IS gated.
 E25_SPEEDUP_FLOOR = 1.5
 
 
@@ -487,15 +487,15 @@ def compare_e25(base, cur, tol):
                    key="rows_agree", current=False, baseline=True,
                    allowed="exact")
     floor = float(base.get("speedup_floor", E25_SPEEDUP_FLOOR))
-    speedup = cur["speedup_vs_aos_unbatched"]
+    speedup = cur["speedup_vs_unbatched"]
     if speedup < floor:
-        rc |= fail(f"speedup_vs_aos_unbatched {speedup:.3f} < floor "
+        rc |= fail(f"speedup_vs_unbatched {speedup:.3f} < floor "
                    f"{floor:.2f}",
-                   key="speedup_vs_aos_unbatched", current=speedup,
-                   baseline=base.get("speedup_vs_aos_unbatched"),
+                   key="speedup_vs_unbatched", current=speedup,
+                   baseline=base.get("speedup_vs_unbatched"),
                    allowed=f">= {floor:.2f}")
     else:
-        print(f"ok: speedup_vs_aos_unbatched {speedup:.3f} "
+        print(f"ok: speedup_vs_unbatched {speedup:.3f} "
               f"(floor {floor:.2f})")
     base_rows = {r["mode"]: r for r in base["rows"]}
     for row in cur["rows"]:
@@ -705,15 +705,14 @@ def _selftest_e26_doc():
 def _selftest_e25_doc():
     """Minimal e25 document that passes its own gates."""
     def row(mode, batch, rate):
-        return {"mode": mode, "layout": "soa", "max_batch": batch,
+        return {"mode": mode, "max_batch": batch,
                 "converged": True, "decisions_ok": True,
                 "wall_seconds": 1.0, "tx_per_sec_per_node": rate,
                 "metrics": {"counters": {"e25.txs": 1000, "net.sent": 5000},
                             "gauges": {}}}
-    return {"rows_agree": True, "speedup_vs_aos_unbatched": 2.0,
-            "rows": [row("soa-batched", 8, 100.0),
-                     row("soa-unbatched", 0, 55.0),
-                     row("aos-unbatched", 0, 50.0)]}
+    return {"rows_agree": True, "speedup_vs_unbatched": 2.0,
+            "rows": [row("batched", 8, 100.0),
+                     row("unbatched", 0, 50.0)]}
 
 
 def selftest():
@@ -749,7 +748,7 @@ def selftest():
     bad["rows"][0]["converged"] = False
     check("e25 catches dirty flag", compare_e25(doc, bad, 0.15) != 0)
     bad = copy.deepcopy(doc)
-    bad["speedup_vs_aos_unbatched"] = 1.2
+    bad["speedup_vs_unbatched"] = 1.2
     check("e25 enforces speedup floor", compare_e25(doc, bad, 0.15) != 0)
     bad = copy.deepcopy(doc)
     bad["rows"][1]["metrics"]["counters"]["net.sent"] = 50000

@@ -1,5 +1,5 @@
-// E25 — open-loop saturation: SoA log + batched floods vs the AoS /
-// unbatched ablations.
+// E25 — open-loop saturation: batched floods + group commit vs the
+// unbatched ablation.
 //
 // An open-loop driver offers load the cluster cannot push back on: each
 // simulated tick submits a burst of requests in ONE scheduler dispatch (the
@@ -13,21 +13,18 @@
 //     accumulator (no libm in the arrival path, so the schedule is
 //     bit-identical on every machine).
 //
-// The SAME precomputed schedule drives three rows:
+// The SAME precomputed schedule drives two rows:
 //
-//   soa-batched      SoA/arena UpdateLog, max_batch = 8   (the optimized path)
-//   soa-unbatched    SoA/arena UpdateLog, max_batch = 0   (batching ablation)
-//   aos-unbatched    AoS UpdateLog,       max_batch = 0   (the old hot path)
+//   batched      max_batch = 8   (the optimized path)
+//   unbatched    max_batch = 0   (batching ablation)
 //
 // Everything simulated is deterministic per row — txs, packet and batch
 // counters, retention footprints, convergence — and gated by
 // compare_bench.py e25 against bench/baselines/BENCH_e25.json. Wall-clock
-// saturation throughput (tx/s/node) and the derived
-// speedup_vs_aos_unbatched are machine-dependent and reported; the gate
-// only enforces the speedup floor (>= 1.5x, the constant-factor claim) —
-// a within-run ratio of the same binary on the same machine, like e10's.
-// A standalone merge replay (sliding-window disorder over 20k entries)
-// reports p50/p99 single-insert merge latency for both layouts.
+// saturation throughput (tx/s/node) and the derived speedup_vs_unbatched
+// are machine-dependent and reported; the gate only enforces the speedup
+// floor (>= 1.5x, the constant-factor claim) — a within-run ratio of the
+// same binary on the same machine, like e10's.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -39,7 +36,6 @@
 #include "harness/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "shard/cluster.hpp"
-#include "shard/update_log.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -131,7 +127,6 @@ std::vector<std::vector<Submission>> build_schedule(std::size_t* total) {
 struct Row {
   const char* mode;
   std::size_t max_batch;
-  const char* layout;
   bool converged = false;
   bool decisions_ok = false;
   double wall_seconds = 0.0;
@@ -140,8 +135,7 @@ struct Row {
   std::string metrics_json;
 };
 
-template <shard::LogLayout Layout>
-Row run_row(const char* mode, const char* layout, std::size_t max_batch,
+Row run_row(const char* mode, std::size_t max_batch,
             const std::vector<std::vector<Submission>>& schedule,
             std::size_t total) {
   harness::Scenario sc = harness::wan(kNodes);
@@ -150,7 +144,7 @@ Row run_row(const char* mode, const char* layout, std::size_t max_batch,
   sc.max_checkpoints = 8;
   shard::ClusterConfig cfg = sc.cluster_config<Air>(kSeed ^ 0x5a7);
   cfg.broadcast.max_batch = max_batch;
-  shard::Cluster<Air, Layout> cluster(cfg);
+  shard::Cluster<Air> cluster(cfg);
 
   for (std::size_t k = 0; k < kTicks; ++k) {
     if (schedule[k].empty()) continue;
@@ -172,7 +166,6 @@ Row run_row(const char* mode, const char* layout, std::size_t max_batch,
   Row row;
   row.mode = mode;
   row.max_batch = max_batch;
-  row.layout = layout;
   row.converged = cluster.converged();
   row.decisions_ok = cluster.aggregate_engine_stats().decisions_run == total;
   row.wall_seconds = wall;
@@ -186,66 +179,6 @@ Row run_row(const char* mode, const char* layout, std::size_t max_batch,
   reg.merge_from(cluster.metrics());
   row.metrics_json = reg.to_json();
   return row;
-}
-
-// ---------------------------------------------------------------------------
-// Standalone merge replay: single-insert latency per layout
-// ---------------------------------------------------------------------------
-
-struct ReplayStats {
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double total_ms = 0.0;
-};
-
-constexpr std::size_t kReplayEntries = 20000;
-constexpr std::size_t kReplayWindow = 512;
-
-/// Arrival order for the replay: timestamp i delayed by at most
-/// kReplayWindow positions (sliding-window disorder — the WAN shape that
-/// produces mid-inserts without degenerate full shuffles).
-std::vector<std::size_t> replay_order() {
-  sim::Rng rng(kSeed ^ 0x9e25);
-  std::vector<std::size_t> order(kReplayEntries);
-  for (std::size_t i = 0; i < kReplayEntries; ++i) order[i] = i;
-  for (std::size_t i = kReplayEntries; i-- > 1;) {
-    const std::size_t lo = i > kReplayWindow ? i - kReplayWindow : 0;
-    const auto j = static_cast<std::size_t>(
-        rng.uniform_int(static_cast<std::int64_t>(lo),
-                        static_cast<std::int64_t>(i)));
-    std::swap(order[i], order[j]);
-  }
-  return order;
-}
-
-template <shard::LogLayout Layout>
-ReplayStats run_replay(const std::vector<std::size_t>& order) {
-  // Dense checkpoints (no geometric thinning): a mid-insert replays at most
-  // one interval past its displacement, so the timing isolates the layout's
-  // scan + shift cost rather than checkpoint-placement policy.
-  shard::UpdateLog<Air, Layout> log(/*checkpoint_interval=*/32,
-                                    /*max_checkpoints=*/0);
-  std::vector<double> ns;
-  ns.reserve(order.size());
-  double total = 0.0;
-  for (const std::size_t i : order) {
-    const core::Timestamp ts{static_cast<std::uint64_t>(i + 1),
-                             static_cast<core::NodeId>(i % kNodes)};
-    const al::Update u{al::Update::Kind::kRequest,
-                       static_cast<al::Person>(1 + i % kZipfKeys)};
-    const Clock::time_point t0 = Clock::now();
-    log.insert({ts, u});
-    const double d =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-    ns.push_back(d);
-    total += d;
-  }
-  std::sort(ns.begin(), ns.end());
-  ReplayStats st;
-  st.p50_us = ns[ns.size() / 2] / 1e3;
-  st.p99_us = ns[ns.size() * 99 / 100] / 1e3;
-  st.total_ms = total / 1e6;
-  return st;
 }
 
 /// Indent an embedded JSON document so the output stays readable.
@@ -265,15 +198,11 @@ int main() {
       build_schedule(&total);
 
   std::vector<Row> rows;
-  rows.push_back(run_row<shard::LogLayout::kSoA>("soa-batched", "soa", 8,
-                                                 schedule, total));
-  rows.push_back(run_row<shard::LogLayout::kSoA>("soa-unbatched", "soa", 0,
-                                                 schedule, total));
-  rows.push_back(run_row<shard::LogLayout::kAoS>("aos-unbatched", "aos", 0,
-                                                 schedule, total));
+  rows.push_back(run_row("batched", 8, schedule, total));
+  rows.push_back(run_row("unbatched", 0, schedule, total));
 
   // Convergence is order-independent (same merged set, same timestamp
-  // order), so all three rows must land on identical replica states.
+  // order), so both rows must land on identical replica states.
   bool rows_agree = true;
   for (const Row& r : rows) {
     for (std::size_t n = 0; n < kNodes; ++n) {
@@ -281,27 +210,14 @@ int main() {
     }
   }
   const double speedup =
-      rows[0].tx_per_sec_per_node / rows[2].tx_per_sec_per_node;
-
-  const std::vector<std::size_t> order = replay_order();
-  const ReplayStats soa = run_replay<shard::LogLayout::kSoA>(order);
-  const ReplayStats aos = run_replay<shard::LogLayout::kAoS>(order);
+      rows[0].tx_per_sec_per_node / rows[1].tx_per_sec_per_node;
 
   std::printf("{\n  \"experiment\": \"e25_saturation\",\n");
   std::printf("  \"nodes\": %zu, \"ticks\": %zu, \"horizon\": %.2f,\n",
               kNodes, kTicks, kHorizon);
   std::printf("  \"zipf_keys\": %zu, \"txs\": %zu,\n", kZipfKeys, total);
   std::printf("  \"rows_agree\": %s,\n", rows_agree ? "true" : "false");
-  std::printf("  \"speedup_vs_aos_unbatched\": %.3f,\n", speedup);
-  std::printf("  \"merge_replay\": {\n");
-  std::printf("    \"entries\": %zu, \"window\": %zu,\n", kReplayEntries,
-              kReplayWindow);
-  std::printf("    \"soa\": {\"p50_us\": %.3f, \"p99_us\": %.3f, "
-              "\"total_ms\": %.2f},\n",
-              soa.p50_us, soa.p99_us, soa.total_ms);
-  std::printf("    \"aos\": {\"p50_us\": %.3f, \"p99_us\": %.3f, "
-              "\"total_ms\": %.2f}\n  },\n",
-              aos.p50_us, aos.p99_us, aos.total_ms);
+  std::printf("  \"speedup_vs_unbatched\": %.3f,\n", speedup);
   // The offered-load curve (deterministic), bucketed per simulated second —
   // CI renders this as the throughput-curve artifact.
   std::printf("  \"curve\": [");
@@ -317,9 +233,8 @@ int main() {
   std::printf("  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    std::printf("    {\"mode\": \"%s\", \"layout\": \"%s\", "
-                "\"max_batch\": %zu,\n",
-                r.mode, r.layout, r.max_batch);
+    std::printf("    {\"mode\": \"%s\", \"max_batch\": %zu,\n", r.mode,
+                r.max_batch);
     std::printf("     \"converged\": %s, \"decisions_ok\": %s,\n",
                 r.converged ? "true" : "false",
                 r.decisions_ok ? "true" : "false");

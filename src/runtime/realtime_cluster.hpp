@@ -60,11 +60,10 @@ struct RealtimeConfig {
   bool trace_dispatch = false;
 };
 
-template <core::Application App,
-          shard::LogLayout Layout = shard::LogLayout::kSoA>
+template <core::Application App>
 class RealtimeCluster {
  public:
-  using NodeT = shard::Node<App, Layout>;
+  using NodeT = shard::Node<App>;
   using Request = typename App::Request;
 
   explicit RealtimeCluster(RealtimeConfig config)

@@ -36,10 +36,9 @@
 
 namespace shard {
 
-/// Cluster configuration. Deliberately App- and layout-independent (a plain
-/// struct, not a nested template member): one config value constructs a
-/// Cluster of any application and either log layout, so the differential
-/// and ablation harnesses (SoA vs AoS) drive byte-identical setups.
+/// Cluster configuration. Deliberately App-independent (a plain struct, not
+/// a nested template member): one config value constructs a Cluster of any
+/// application.
 struct ClusterConfig {
   std::size_t num_nodes = 3;
   sim::Network::Config network;
@@ -84,10 +83,10 @@ struct MetricsSample {
   obs::MetricsRegistry metrics;
 };
 
-template <core::Application App, LogLayout Layout = LogLayout::kSoA>
+template <core::Application App>
 class Cluster {
  public:
-  using NodeT = Node<App, Layout>;
+  using NodeT = Node<App>;
   using Request = typename App::Request;
   using Config = ClusterConfig;
 

@@ -43,10 +43,8 @@ template <core::Application App>
 class StreamObserver;
 
 /// Everything the origin records about a transaction it initiated; the
-/// cluster assembles the formal Execution from these. Hoisted out of Node
-/// so the record type is identical across log layouts (Node<App, kSoA> and
-/// Node<App, kAoS> produce interchangeable records — the differential
-/// harnesses compare them directly).
+/// cluster assembles the formal Execution from these. Declared outside Node
+/// so StreamObserver and the node-set helpers can name it by App alone.
 template <core::Application App>
 struct TxRecord {
   core::Timestamp ts;
@@ -67,7 +65,7 @@ struct TxRecord {
   sim::Time decided_time = 0.0;
 };
 
-template <core::Application App, LogLayout Layout = LogLayout::kSoA>
+template <core::Application App>
 class Node {
  public:
   using State = typename App::State;
@@ -334,7 +332,7 @@ class Node {
   void set_stream_observer(StreamObserver<App>* obs) { stream_obs_ = obs; }
 
   const State& state() const { return log_.state(); }
-  const UpdateLog<App, Layout>& log() const { return log_; }
+  const UpdateLog<App>& log() const { return log_; }
   core::NodeId id() const { return id_; }
   const std::vector<Record>& originated() const { return originated_; }
   const EngineStats& engine_stats() const { return log_.stats(); }
@@ -520,7 +518,7 @@ class Node {
 
   core::NodeId id_;
   core::LamportClock clock_;
-  UpdateLog<App, Layout> log_;
+  UpdateLog<App> log_;
   std::vector<Record> originated_;
   std::vector<Announcement> peer_announcements_;
   std::deque<PendingSerial> pending_;

@@ -1,7 +1,7 @@
 // Read-only views over a cluster's node vector, shared by the two drivers
 // that own one: shard::Cluster (deterministic simulator) and
 // runtime::RealtimeCluster (threaded backend). Both hold the same
-// std::vector<std::unique_ptr<Node<App, Layout>>>, so convergence, the
+// std::vector<std::unique_ptr<Node<App>>>, so convergence, the
 // prefix resolver and the formal Execution are assembled by one piece of
 // code whichever backend produced the run.
 #pragma once
@@ -20,11 +20,11 @@
 
 namespace shard {
 
-template <core::Application App, LogLayout Layout>
-using NodeVector = std::vector<std::unique_ptr<Node<App, Layout>>>;
+template <core::Application App>
+using NodeVector = std::vector<std::unique_ptr<Node<App>>>;
 
-template <core::Application App, LogLayout Layout>
-std::uint64_t total_originated(const NodeVector<App, Layout>& nodes) {
+template <core::Application App>
+std::uint64_t total_originated(const NodeVector<App>& nodes) {
   std::uint64_t total = 0;
   for (const auto& n : nodes) total += n->originated().size();
   return total;
@@ -32,8 +32,8 @@ std::uint64_t total_originated(const NodeVector<App, Layout>& nodes) {
 
 /// Every node knows every update (and therefore, by the merge invariant,
 /// every replica state is identical) — the paper's mutual consistency.
-template <core::Application App, LogLayout Layout>
-bool converged(const NodeVector<App, Layout>& nodes) {
+template <core::Application App>
+bool converged(const NodeVector<App>& nodes) {
   const std::uint64_t total = total_originated(nodes);
   for (const auto& n : nodes) {
     if (n->updates_known() != total) return false;
@@ -50,8 +50,8 @@ bool converged(const NodeVector<App, Layout>& nodes) {
 /// references (core::PrefixRef); only the analysis layer, through this
 /// resolver, ever materializes the O(history) timestamp sets. The resolver
 /// reads `nodes` when called, so it must not outlive the vector.
-template <core::Application App, LogLayout Layout>
-core::PrefixRef::Resolver prefix_resolver(const NodeVector<App, Layout>& nodes) {
+template <core::Application App>
+core::PrefixRef::Resolver prefix_resolver(const NodeVector<App>& nodes) {
   return [&nodes](core::NodeId origin, std::uint64_t origin_seq) {
     return nodes.at(origin)->originated().at(origin_seq - 1).ts;
   };
@@ -60,8 +60,8 @@ core::PrefixRef::Resolver prefix_resolver(const NodeVector<App, Layout>& nodes) 
 /// Assemble the formal execution: all transactions from all origins in
 /// global timestamp order, interned prefixes expanded (via
 /// prefix_resolver) and mapped from timestamps to indices.
-template <core::Application App, LogLayout Layout>
-core::Execution<App> assemble_execution(const NodeVector<App, Layout>& nodes) {
+template <core::Application App>
+core::Execution<App> assemble_execution(const NodeVector<App>& nodes) {
   // Collect (timestamp -> record) across nodes; std::map orders by ts.
   std::map<core::Timestamp, const TxRecord<App>*> by_ts;
   for (const auto& n : nodes) {

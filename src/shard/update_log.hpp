@@ -26,17 +26,10 @@
 // undo/redo *counts* (what the thrashing analysis consumes) are identical
 // to the literal strategy.
 //
-// Storage layout (constant factors; DESIGN.md §9): every insert binary-
-// searches the timestamp order and a mid-insert shifts the tail, so the
-// default layout is struct-of-arrays — a dense contiguous core::Timestamp
-// column scanned by the position search, a parallel column of arena slot
-// indices, and an arena of Update objects that never move once written
-// (mid-inserts shift 16+4 bytes per displaced entry instead of a full
-// Entry; freed slots are recycled so compaction keeps the arena O(window)).
-// Checkpoint positions index the order columns; because the arena never
-// relocates updates, compaction and mid-inserts shift checkpoints without
-// touching update storage. The original array-of-structs layout survives as
-// LogLayout::kAoS — the differential oracle and the E25 ablation baseline.
+// Storage (constant factors; DESIGN.md §9): one std::vector<Entry> in
+// timestamp order. Every insert binary-searches it and a mid-insert shifts
+// the tail; checkpoint positions index it, so compaction and mid-inserts
+// shift checkpoints by position arithmetic alone.
 #pragma once
 
 #include <algorithm>
@@ -44,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -55,151 +47,16 @@
 
 namespace shard {
 
-/// Storage layout of an UpdateLog: kSoA (timestamp column + update arena,
-/// the default) or kAoS (one Entry vector — oracle and ablation baseline).
-/// Behavior, stats and trace streams are identical; only memory layout and
-/// constant factors differ.
-enum class LogLayout : std::uint8_t { kSoA, kAoS };
-
-namespace detail {
-
-/// SoA/arena entry storage. The order columns ts_/slot_ are index-aligned;
-/// arena_[slot_[i]] is position i's update. Updates never move after being
-/// written: inserts shift only the two order columns, erases push the freed
-/// slots onto a free list for reuse.
-template <class Update>
-class SoALogStore {
- public:
-  std::size_t size() const { return ts_.size(); }
-  const core::Timestamp& ts_at(std::size_t i) const { return ts_[i]; }
-  const Update& update_at(std::size_t i) const { return arena_[slot_[i]]; }
-
-  /// First position with timestamp >= ts. The scan touches only the dense
-  /// timestamp column — the cache-line argument for this layout.
-  std::size_t lower_bound(const core::Timestamp& ts) const {
-    return static_cast<std::size_t>(
-        std::lower_bound(ts_.begin(), ts_.end(), ts) - ts_.begin());
-  }
-
-  void insert(std::size_t pos, const core::Timestamp& ts, Update update) {
-    const std::uint32_t slot = allocate(std::move(update));
-    ts_.insert(ts_.begin() + static_cast<std::ptrdiff_t>(pos), ts);
-    slot_.insert(slot_.begin() + static_cast<std::ptrdiff_t>(pos), slot);
-  }
-
-  void erase_prefix(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) free_.push_back(slot_[i]);
-    ts_.erase(ts_.begin(), ts_.begin() + static_cast<std::ptrdiff_t>(n));
-    slot_.erase(slot_.begin(), slot_.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-
-  void truncate(std::size_t keep_n) {
-    for (std::size_t i = keep_n; i < slot_.size(); ++i) {
-      free_.push_back(slot_[i]);
-    }
-    ts_.resize(keep_n);
-    slot_.resize(keep_n);
-  }
-
-  void clear() {
-    ts_.clear();
-    slot_.clear();
-    arena_.clear();
-    free_.clear();
-  }
-
-  std::vector<core::Timestamp> timestamps() const { return ts_; }
-
-  /// Arena observability (tests pin the O(window) reuse claim).
-  std::size_t arena_slots() const { return arena_.size(); }
-  std::size_t arena_free_slots() const { return free_.size(); }
-
- private:
-  std::uint32_t allocate(Update update) {
-    if (!free_.empty()) {
-      const std::uint32_t slot = free_.back();
-      free_.pop_back();
-      arena_[slot] = std::move(update);
-      return slot;
-    }
-    assert(arena_.size() < UINT32_MAX);
-    arena_.push_back(std::move(update));
-    return static_cast<std::uint32_t>(arena_.size() - 1);
-  }
-
-  std::vector<core::Timestamp> ts_;   ///< Dense timestamp column.
-  std::vector<std::uint32_t> slot_;   ///< Arena slot per position.
-  std::vector<Update> arena_;         ///< Update storage; slots are stable.
-  std::vector<std::uint32_t> free_;   ///< Recycled slots (LIFO).
-};
-
-/// Array-of-structs entry storage — the original layout, kept as the
-/// differential oracle and the E25 ablation baseline.
-template <class Update>
-class AoSLogStore {
- public:
-  std::size_t size() const { return entries_.size(); }
-  const core::Timestamp& ts_at(std::size_t i) const { return entries_[i].ts; }
-  const Update& update_at(std::size_t i) const { return entries_[i].update; }
-
-  std::size_t lower_bound(const core::Timestamp& ts) const {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), ts,
-        [](const Ent& e, const core::Timestamp& t) { return e.ts < t; });
-    return static_cast<std::size_t>(it - entries_.begin());
-  }
-
-  void insert(std::size_t pos, const core::Timestamp& ts, Update update) {
-    entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(pos),
-                    Ent{ts, std::move(update)});
-  }
-
-  void erase_prefix(std::size_t n) {
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-
-  void truncate(std::size_t keep_n) { entries_.resize(keep_n); }
-
-  void clear() { entries_.clear(); }
-
-  std::vector<core::Timestamp> timestamps() const {
-    std::vector<core::Timestamp> out;
-    out.reserve(entries_.size());
-    for (const Ent& e : entries_) out.push_back(e.ts);
-    return out;
-  }
-
-  std::size_t arena_slots() const { return entries_.size(); }
-  std::size_t arena_free_slots() const { return 0; }
-
- private:
-  struct Ent {
-    core::Timestamp ts;
-    Update update;
-  };
-  std::vector<Ent> entries_;
-};
-
-}  // namespace detail
-
-/// One (timestamp, update) pair handed to UpdateLog::insert. Hoisted out of
-/// the class so it is the same type across layouts — the SoA/AoS
-/// differential tests feed one arrival sequence to both.
 template <core::Replicable App>
-struct LogEntry {
-  core::Timestamp ts;
-  typename App::Update update;
-};
-
-template <core::Replicable App, LogLayout Layout = LogLayout::kSoA>
 class UpdateLog {
  public:
   using State = typename App::State;
   using Update = typename App::Update;
-  static constexpr LogLayout kLayout = Layout;
 
-  using Entry = LogEntry<App>;
+  struct Entry {
+    core::Timestamp ts;
+    Update update;
+  };
 
   /// A state snapshot: `state` is the fold of the first `pos` retained
   /// entries over the base. Explicit positions (instead of the old implicit
@@ -234,14 +91,14 @@ class UpdateLog {
     // stability protocol (promises) guarantees it; a violation here means
     // a protocol bug, not a data race.
     assert(!(entry.ts < base_cut_));
-    const std::size_t pos = store_.lower_bound(entry.ts);
-    assert(pos == store_.size() || store_.ts_at(pos) != entry.ts);
+    const std::size_t pos = lower_bound(entry.ts);
+    assert(pos == entries_.size() || entries_[pos].ts != entry.ts);
     const core::Timestamp ts = entry.ts;
 
-    if (pos == store_.size()) {
+    if (pos == entries_.size()) {
       // Fast path: in-order arrival; apply directly on the current state.
-      store_.insert(pos, ts, std::move(entry.update));
-      App::apply(store_.update_at(pos), state_);
+      entries_.push_back(std::move(entry));
+      App::apply(entries_.back().update, state_);
       ++stats_.tail_appends;
       ++stats_.redone_updates;
       trace(obs::EventType::kMergeTailAppend, ts);
@@ -251,44 +108,45 @@ class UpdateLog {
 
     // Out-of-order arrival: every update at position >= pos is "undone" and
     // then redone after the newcomer.
-    const std::size_t displaced = store_.size() - pos;
+    const std::size_t displaced = entries_.size() - pos;
     stats_.undone_updates += displaced;
     ++stats_.mid_inserts;
     trace(obs::EventType::kMergeMidInsert, ts, displaced);
     trace(obs::EventType::kMergeUndo, ts, displaced);
-    store_.insert(pos, ts, std::move(entry.update));
+    entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(pos),
+                    std::move(entry));
     invalidate_checkpoints_after(pos);
     recompute_from_checkpoint();
-    trace(obs::EventType::kMergeRedo, ts, store_.size() - pos);
+    trace(obs::EventType::kMergeRedo, ts, entries_.size() - pos);
     return pos;
   }
 
   /// The merged database state (reflects all known updates in ts order).
   const State& state() const { return state_; }
 
-  std::size_t size() const { return store_.size(); }
-  /// Timestamp / update of the retained entry at position `i`. Split
-  /// accessors instead of the old entry(i) pair: the SoA layout has no
-  /// Entry object to hand back, and callers almost always want one column.
+  std::size_t size() const { return entries_.size(); }
+  /// Timestamp / update of the retained entry at position `i`.
   const core::Timestamp& ts_at(std::size_t i) const {
-    assert(i < store_.size());
-    return store_.ts_at(i);
+    assert(i < entries_.size());
+    return entries_[i].ts;
   }
   const Update& update_at(std::size_t i) const {
-    assert(i < store_.size());
-    return store_.update_at(i);
+    assert(i < entries_.size());
+    return entries_[i].update;
   }
 
   /// Timestamps of every known update, in order. This *is* the prefix
   /// subsequence a decision part sees (paper section 3.1, condition (1)).
-  /// Under the SoA layout this is one contiguous column copy.
   std::vector<core::Timestamp> known_timestamps() const {
-    return store_.timestamps();
+    std::vector<core::Timestamp> out;
+    out.reserve(entries_.size());
+    for (const Entry& e : entries_) out.push_back(e.ts);
+    return out;
   }
 
   bool contains(const core::Timestamp& ts) const {
-    const std::size_t pos = store_.lower_bound(ts);
-    return pos != store_.size() && store_.ts_at(pos) == ts;
+    const std::size_t pos = lower_bound(ts);
+    return pos != entries_.size() && entries_[pos].ts == ts;
   }
 
   const EngineStats& stats() const { return stats_; }
@@ -308,9 +166,7 @@ class UpdateLog {
   /// test oracle for the checkpointed incremental maintenance.
   State recompute_naive() const {
     State s = base_;
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      App::apply(store_.update_at(i), s);
-    }
+    for (const Entry& e : entries_) App::apply(e.update, s);
     return s;
   }
 
@@ -322,7 +178,7 @@ class UpdateLog {
   /// number of entries folded.
   std::size_t compact_before(const core::Timestamp& cut) {
     if (cut <= base_cut_) return 0;
-    const std::size_t n = store_.lower_bound(cut);
+    const std::size_t n = lower_bound(cut);
     if (n == 0) {
       base_cut_ = cut;
       return 0;
@@ -333,9 +189,10 @@ class UpdateLog {
     while (checkpoints_[j].pos > n) --j;
     base_ = std::move(checkpoints_[j].state);
     for (std::size_t i = checkpoints_[j].pos; i < n; ++i) {
-      App::apply(store_.update_at(i), base_);
+      App::apply(entries_[i].update, base_);
     }
-    store_.erase_prefix(n);
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<std::ptrdiff_t>(n));
     base_cut_ = cut;
     folded_count_ += n;
     stats_.entries_folded += n;
@@ -358,7 +215,7 @@ class UpdateLog {
   /// resynchronize from scratch. Counters are cumulative observability and
   /// deliberately survive (the lifetime undo/redo work really happened).
   void reset_to_initial() {
-    store_.clear();
+    entries_.clear();
     base_ = App::initial();
     base_cut_ = core::Timestamp{};
     folded_count_ = 0;
@@ -378,15 +235,15 @@ class UpdateLog {
   /// path. Counters survive (cumulative observability). Returns the number
   /// of entries dropped.
   std::size_t truncate_suffix(std::size_t keep_n) {
-    if (keep_n >= store_.size()) return 0;
-    const std::size_t dropped = store_.size() - keep_n;
-    store_.truncate(keep_n);
+    if (keep_n >= entries_.size()) return 0;
+    const std::size_t dropped = entries_.size() - keep_n;
+    entries_.resize(keep_n);
     std::size_t keep_cp = checkpoints_.size();
     while (keep_cp > 1 && checkpoints_[keep_cp - 1].pos > keep_n) --keep_cp;
     checkpoints_.resize(keep_cp);
     state_ = checkpoints_.back().state;
-    for (std::size_t i = checkpoints_.back().pos; i < store_.size(); ++i) {
-      App::apply(store_.update_at(i), state_);
+    for (std::size_t i = checkpoints_.back().pos; i < entries_.size(); ++i) {
+      App::apply(entries_[i].update, state_);
     }
     return dropped;
   }
@@ -397,44 +254,37 @@ class UpdateLog {
   /// Entries folded into the base so far.
   std::size_t folded_count() const { return folded_count_; }
   /// All updates ever merged here (retained + folded).
-  std::size_t total_merged() const { return store_.size() + folded_count_; }
+  std::size_t total_merged() const { return entries_.size() + folded_count_; }
   const core::Timestamp& base_cut() const { return base_cut_; }
-
-  /// Arena footprint (SoA: slots allocated / currently free for reuse; AoS
-  /// reports its entry count and no free list). Tests pin that compaction
-  /// and truncation recycle slots instead of growing the arena O(history).
-  std::size_t arena_slots() const { return store_.arena_slots(); }
-  std::size_t arena_free_slots() const { return store_.arena_free_slots(); }
 
   /// State reflecting only the entries with timestamp < ts — the complete-
   /// prefix view a serializable transaction positioned at `ts` must see
   /// (mixed-mode extension; paper section 6). Replays from the nearest
   /// checkpoint at or before the cut.
   State state_before(const core::Timestamp& ts) const {
-    const std::size_t cut = store_.lower_bound(ts);
+    const std::size_t cut = lower_bound(ts);
     std::size_t j = checkpoints_.size() - 1;
     while (checkpoints_[j].pos > cut) --j;
     State s = checkpoints_[j].state;
     for (std::size_t i = checkpoints_[j].pos; i < cut; ++i) {
-      App::apply(store_.update_at(i), s);
+      App::apply(entries_[i].update, s);
     }
     return s;
   }
 
-  /// Timestamps of entries strictly before `ts`.
-  std::vector<core::Timestamp> known_timestamps_before(
-      const core::Timestamp& ts) const {
-    const std::size_t cut = store_.lower_bound(ts);
-    std::vector<core::Timestamp> out;
-    out.reserve(cut);
-    for (std::size_t i = 0; i < cut; ++i) out.push_back(store_.ts_at(i));
-    return out;
+  /// Number of retained entries with timestamp strictly before `ts`.
+  std::size_t size_before(const core::Timestamp& ts) const {
+    return lower_bound(ts);
   }
 
  private:
-  using Store = std::conditional_t<Layout == LogLayout::kSoA,
-                                   detail::SoALogStore<Update>,
-                                   detail::AoSLogStore<Update>>;
+  /// First position with timestamp >= ts.
+  std::size_t lower_bound(const core::Timestamp& ts) const {
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), ts,
+        [](const Entry& e, const core::Timestamp& t) { return e.ts < t; });
+    return static_cast<std::size_t>(it - entries_.begin());
+  }
 
   void trace(obs::EventType type, const core::Timestamp& ts,
              std::uint64_t a = 0) const {
@@ -445,10 +295,10 @@ class UpdateLog {
 
   void maybe_checkpoint() {
     if (checkpoint_interval_ == 0) return;
-    if (store_.size() - checkpoints_.back().pos >= checkpoint_interval_) {
-      checkpoints_.push_back(Checkpoint{store_.size(), state_});
+    if (entries_.size() - checkpoints_.back().pos >= checkpoint_interval_) {
+      checkpoints_.push_back(Checkpoint{entries_.size(), state_});
       ++stats_.checkpoints_taken;
-      trace(obs::EventType::kCheckpointTake, store_.ts_at(store_.size() - 1),
+      trace(obs::EventType::kCheckpointTake, entries_.back().ts,
             checkpoints_.size() - 1);
       thin_checkpoints();
     }
@@ -460,7 +310,7 @@ class UpdateLog {
     while (keep > 1 && checkpoints_[keep - 1].pos > pos) --keep;
     if (keep < checkpoints_.size()) {
       stats_.checkpoints_invalidated += checkpoints_.size() - keep;
-      trace(obs::EventType::kCheckpointInvalidate, store_.ts_at(pos),
+      trace(obs::EventType::kCheckpointInvalidate, entries_[pos].ts,
             checkpoints_.size() - keep);
       checkpoints_.resize(keep);
     }
@@ -473,8 +323,8 @@ class UpdateLog {
     const std::size_t start = checkpoints_.back().pos;
     state_ = checkpoints_.back().state;
     std::size_t last_cp = start;
-    for (std::size_t i = start; i < store_.size(); ++i) {
-      App::apply(store_.update_at(i), state_);
+    for (std::size_t i = start; i < entries_.size(); ++i) {
+      App::apply(entries_[i].update, state_);
       ++stats_.redone_updates;
       if (checkpoint_interval_ != 0 &&
           (i + 1) - last_cp >= checkpoint_interval_) {
@@ -519,7 +369,7 @@ class UpdateLog {
   State base_;
   core::Timestamp base_cut_{};
   std::size_t folded_count_ = 0;
-  Store store_;
+  std::vector<Entry> entries_;  ///< Retained entries, in timestamp order.
   std::vector<Checkpoint> checkpoints_;
   State state_;
   EngineStats stats_;
