@@ -1,6 +1,10 @@
 #include "apps/airline/airline.hpp"
 
+#include <algorithm>
+#include <ostream>
 #include <sstream>
+
+#include "apps/airline/person_bits.hpp"
 
 namespace apps::airline {
 
@@ -20,6 +24,10 @@ std::string Update::to_string() const {
       return "move-down(" + person_name(person) + ")";
   }
   return "?";
+}
+
+std::ostream& operator<<(std::ostream& os, const Update& u) {
+  return os << u.to_string();
 }
 
 std::string Request::to_string() const {
@@ -51,5 +59,34 @@ std::string State::to_string() const {
   os << "]";
   return os.str();
 }
+
+std::ostream& operator<<(std::ostream& os, const State& s) {
+  return os << s.to_string();
+}
+
+namespace detail {
+
+bool all_distinct(const std::vector<Person>& first,
+                  const std::vector<Person>& second) {
+  const std::size_t entries = first.size() + second.size();
+  if (entries < 2) return true;
+  Person max_id = 0;
+  for (Person p : first) max_id = std::max(max_id, p);
+  for (Person p : second) max_id = std::max(max_id, p);
+  if (PersonBits::fits(max_id, entries)) {
+    PersonBits seen(max_id);
+    const auto fresh = [&seen](Person p) { return seen.insert(p); };
+    return std::all_of(first.begin(), first.end(), fresh) &&
+           std::all_of(second.begin(), second.end(), fresh);
+  }
+  std::vector<Person> all;
+  all.reserve(entries);
+  all.insert(all.end(), first.begin(), first.end());
+  all.insert(all.end(), second.begin(), second.end());
+  std::sort(all.begin(), all.end());
+  return std::adjacent_find(all.begin(), all.end()) == all.end();
+}
+
+}  // namespace detail
 
 }  // namespace apps::airline

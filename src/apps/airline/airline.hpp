@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,8 @@ struct Update {
   friend auto operator<=>(const Update&, const Update&) = default;
   std::string to_string() const;
 };
+
+std::ostream& operator<<(std::ostream& os, const Update& u);
 
 /// What clients submit. MOVE-UP / MOVE-DOWN carry no person — their decision
 /// parts *select* the person from the observed state (paper section 2.3).
@@ -100,6 +103,18 @@ struct State {
   std::string to_string() const;
 };
 
+std::ostream& operator<<(std::ostream& os, const State& s);
+
+namespace detail {
+
+/// True iff no person appears twice in `first` followed by `second`: one
+/// pass over a seen-bitset (person_bits.hpp), or a sort of both lists when
+/// the ids are sparse.
+bool all_distinct(const std::vector<Person>& first,
+                  const std::vector<Person>& second);
+
+}  // namespace detail
+
 /// The application, parameterized so experiments can shrink the flight.
 /// `Airline` below is the paper's instance (100 seats, $900 / $300).
 template <int Capacity = 100, int OverbookCost = 900, int UnderbookCost = 300>
@@ -124,16 +139,10 @@ struct BasicAirline {
 
   /// "ASSIGNED-LIST and WAIT-LIST must contain disjoint sets of people."
   /// (We additionally require each list to be duplicate-free, which every
-  /// update preserves.)
+  /// update preserves.) Linear in the list lengths: the checkers ask this
+  /// of every transaction's apparent and actual state.
   static bool well_formed(const State& s) {
-    for (Person p : s.assigned) {
-      if (std::count(s.assigned.begin(), s.assigned.end(), p) != 1) return false;
-      if (s.is_waiting(p)) return false;
-    }
-    for (Person p : s.waiting) {
-      if (std::count(s.waiting.begin(), s.waiting.end(), p) != 1) return false;
-    }
-    return true;
+    return detail::all_distinct(s.assigned, s.waiting);
   }
 
   /// The update semantics of the four transaction programs (section 2.3).

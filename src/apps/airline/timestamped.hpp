@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,8 @@ struct TsEntry {
   friend bool operator==(const TsEntry&, const TsEntry&) = default;
 };
 
+std::ostream& operator<<(std::ostream& os, const TsEntry& e);
+
 struct TsState {
   std::vector<TsEntry> assigned;  ///< stamp-sorted ASSIGNED-LIST
   std::vector<TsEntry> waiting;   ///< stamp-sorted WAIT-LIST
@@ -58,6 +61,19 @@ struct TsState {
   std::int64_t wl() const { return static_cast<std::int64_t>(waiting.size()); }
   std::string to_string() const;
 };
+
+std::ostream& operator<<(std::ostream& os, const TsState& s);
+
+namespace detail {
+
+/// True iff no person appears in both lists. A person may repeat inside one
+/// list (with different stamps); only the cross-list overlap counts. One
+/// pass over a seen-bitset (person_bits.hpp), or a sort and binary
+/// searches when the ids are sparse.
+bool persons_disjoint(const std::vector<TsEntry>& first,
+                      const std::vector<TsEntry>& second);
+
+}  // namespace detail
 
 struct TsUpdate {
   using Kind = Update::Kind;
@@ -104,6 +120,8 @@ struct TimestampedAirlineT {
 
   static State initial() { return State{}; }
 
+  /// Each list strictly increasing in (stamp, person), and no person on
+  /// both lists. Linear in the list lengths.
   static bool well_formed(const State& s) {
     const auto dup_free_sorted = [](const std::vector<TsEntry>& v) {
       for (std::size_t i = 1; i < v.size(); ++i) {
@@ -113,10 +131,7 @@ struct TimestampedAirlineT {
     };
     if (!dup_free_sorted(s.assigned) || !dup_free_sorted(s.waiting))
       return false;
-    for (const TsEntry& e : s.assigned) {
-      if (s.find_waiting(e.person) != nullptr) return false;
-    }
-    return true;
+    return detail::persons_disjoint(s.assigned, s.waiting);
   }
 
   static void apply(const Update& u, State& s) {

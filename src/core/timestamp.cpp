@@ -1,5 +1,6 @@
 #include "core/timestamp.hpp"
 
+#include <ostream>
 #include <sstream>
 
 namespace core {
@@ -8,6 +9,10 @@ std::string Timestamp::to_string() const {
   std::ostringstream os;
   os << logical << "@n" << node;
   return os.str();
+}
+
+std::ostream& operator<<(std::ostream& os, const Timestamp& ts) {
+  return os << ts.to_string();
 }
 
 }  // namespace core

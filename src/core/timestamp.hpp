@@ -16,6 +16,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
 
 #include "sim/partition.hpp"
@@ -48,6 +49,9 @@ struct Timestamp {
 
   std::string to_string() const;
 };
+
+/// Prints to_string()'s text, so gtest shows failing timestamps readably.
+std::ostream& operator<<(std::ostream& os, const Timestamp& ts);
 
 /// Per-node Lamport clock.
 class LamportClock {

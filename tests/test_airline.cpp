@@ -3,7 +3,15 @@
 // paper's exact dollar figures, well-formedness, and the monus operator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "apps/airline/airline.hpp"
+#include "apps/airline/person_bits.hpp"
 #include "core/model.hpp"
 #include "core/monus.hpp"
 
@@ -45,6 +53,102 @@ TEST(AirlineState, WellFormednessRejectsOverlapAndDuplicates) {
   EXPECT_FALSE(Airline::well_formed(state_with({1, 1}, {})));
   EXPECT_FALSE(Airline::well_formed(state_with({}, {2, 2})));
   EXPECT_TRUE(Airline::well_formed(state_with({1, 2}, {3, 4})));
+}
+
+/// The quadratic definition well_formed computed before it became one
+/// linear pass, kept as the reference: every person occurs once on its own
+/// list, and no assigned person is waiting.
+bool quadratic_well_formed(const State& s) {
+  for (al::Person p : s.assigned) {
+    if (std::count(s.assigned.begin(), s.assigned.end(), p) != 1) return false;
+    if (s.is_waiting(p)) return false;
+  }
+  for (al::Person p : s.waiting) {
+    if (std::count(s.waiting.begin(), s.waiting.end(), p) != 1) return false;
+  }
+  return true;
+}
+
+/// A random state over `ids` (distinct), each list 0..40 long, with up to
+/// two planted duplicates: within ASSIGNED-LIST, within WAIT-LIST, or
+/// across the lists. Half the plants copy a list's largest id, so the top
+/// bitset word sees duplicates too.
+State random_state(std::mt19937_64& rng, std::vector<al::Person> ids) {
+  std::shuffle(ids.begin(), ids.end(), rng);
+  const auto len = [&rng](std::size_t cap) {
+    return std::uniform_int_distribution<std::size_t>(0, cap)(rng);
+  };
+  const std::size_t na = len(std::min<std::size_t>(40, ids.size()));
+  const std::size_t nw = len(std::min<std::size_t>(40, ids.size() - na));
+  State s;
+  s.assigned.assign(ids.begin(), ids.begin() + static_cast<long>(na));
+  s.waiting.assign(ids.begin() + static_cast<long>(na),
+                   ids.begin() + static_cast<long>(na + nw));
+  const std::size_t plants = len(2);
+  for (std::size_t k = 0; k < plants; ++k) {
+    const bool from_assigned = len(1) == 0;
+    const bool into_assigned = len(1) == 0;
+    const std::vector<al::Person>& from =
+        from_assigned ? s.assigned : s.waiting;
+    std::vector<al::Person>& into = into_assigned ? s.assigned : s.waiting;
+    if (from.empty() || into.empty()) continue;
+    const std::size_t src =
+        len(1) == 0 ? static_cast<std::size_t>(
+                          std::max_element(from.begin(), from.end()) -
+                          from.begin())
+                    : len(from.size() - 1);
+    const std::size_t dst = len(into.size() - 1);
+    if (&from == &into && src == dst) continue;
+    into[dst] = from[src];
+  }
+  return s;
+}
+
+TEST(AirlineState, WellFormednessMatchesQuadraticDefinition) {
+  std::mt19937_64 rng(20260415);
+  std::size_t bitset_runs = 0, sorted_runs = 0, ill_formed = 0, total = 0;
+  const auto check = [&](const State& s) {
+    const std::size_t entries = s.assigned.size() + s.waiting.size();
+    al::Person max_id = 0;
+    for (al::Person p : s.assigned) max_id = std::max(max_id, p);
+    for (al::Person p : s.waiting) max_id = std::max(max_id, p);
+    if (entries >= 2) {
+      ++(al::detail::PersonBits::fits(max_id, entries) ? bitset_runs
+                                                        : sorted_runs);
+    }
+    const bool expected = quadratic_well_formed(s);
+    ill_formed += expected ? 0 : 1;
+    ++total;
+    EXPECT_EQ(Airline::well_formed(s), expected) << s;
+  };
+  check(state_with({}, {}));
+  check(state_with({7}, {}));
+  check(state_with({}, {7}));
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Consecutive ids from a base in 0..6000 (the bitset path when the
+    // base is low, the sort path when it is high), or sparse ids anywhere
+    // in the 32-bit range, UINT32_MAX among them.
+    std::vector<al::Person> ids(std::uniform_int_distribution<std::size_t>(
+        1, 100)(rng));
+    if (trial % 2 == 0) {
+      const al::Person base =
+          std::uniform_int_distribution<al::Person>(0, 6000)(rng);
+      std::iota(ids.begin(), ids.end(), base);
+    } else {
+      std::uniform_int_distribution<al::Person> any(
+          0, std::numeric_limits<al::Person>::max());
+      for (al::Person& p : ids) p = any(rng);
+      ids.front() = std::numeric_limits<al::Person>::max();
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    }
+    check(random_state(rng, std::move(ids)));
+  }
+  // Both implementations ran, on both verdicts.
+  EXPECT_GT(bitset_runs, 500u);
+  EXPECT_GT(sorted_runs, 500u);
+  EXPECT_GT(ill_formed, total / 10);
+  EXPECT_GT(total - ill_formed, total / 10);
 }
 
 // --- request(P) update semantics ---
@@ -294,6 +398,10 @@ TEST(AirlineStrings, HumanReadable) {
   EXPECT_EQ((Update{Update::Kind::kMoveUp, 3}).to_string(), "move-up(P3)");
   EXPECT_EQ(Request::move_down().to_string(), "MOVE-DOWN");
   EXPECT_EQ(state_with({1}, {2}).to_string(), "AL=[P1] WL=[P2]");
+  // gtest prints states and updates through operator<<.
+  EXPECT_EQ(::testing::PrintToString(state_with({1}, {2})), "AL=[P1] WL=[P2]");
+  EXPECT_EQ(::testing::PrintToString(Update{Update::Kind::kCancel, 4}),
+            "cancel(P4)");
 }
 
 TEST(SmallAirline, CapacityParameterHonored) {

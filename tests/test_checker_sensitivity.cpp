@@ -4,12 +4,15 @@
 // action, broken bound...), and asserts the corresponding checker flags it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/airline_theorems.hpp"
 #include "analysis/cost_bounds.hpp"
@@ -504,6 +507,83 @@ TEST(ByzantineSensitivity, IncidentBundlesAttributeAdmissionEpochs) {
   // The sweep is only meaningful if violations fired and were attributed.
   EXPECT_GT(bundles, 0u);
   EXPECT_GT(attributed, 0u);
+}
+
+/// The airline with a REQUEST update that forgets "provided that P is not
+/// already on either list": a repeated request puts P on the WAIT-LIST
+/// twice. The model forbids such updates, which is exactly why it makes
+/// ill-formed states to feed the checkers.
+struct LeakyAirline : Air {
+  static std::string name() { return "leaky-airline"; }
+  static void apply(const Update& u, State& s) {
+    if (u.kind == Update::Kind::kRequest) {
+      s.waiting.push_back(u.person);
+    } else {
+      Air::apply(u, s);
+    }
+  }
+};
+
+/// Every (tx, message) pair of a report, sorted: two reports agree on this
+/// iff they name the same messages at the same transaction indices.
+std::vector<std::pair<std::size_t, std::string>> attributed(
+    const analysis::CheckReport& r) {
+  std::vector<std::pair<std::size_t, std::string>> out;
+  for (std::size_t i = 0; i < r.violations().size(); ++i) {
+    out.emplace_back(r.violation_tx(i), r.violations()[i]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(CheckerSensitivity, IllFormedStatesReportedByOracle) {
+  // tx0 and tx1 both REQUEST P1, neither seeing the other: the actual
+  // state after tx1 holds P1 twice. tx2's MOVE-UP sees both, so its
+  // apparent state is ill-formed; its update removes every copy of P1.
+  core::ScriptedExecution<LeakyAirline> sx;
+  sx.run(Request::request(1), {});
+  sx.run(Request::request(1), {});
+  sx.run(Request::move_up(), {0, 1});
+  const auto report =
+      analysis::check_prefix_subsequence_condition(sx.execution());
+  using Attributed = std::vector<std::pair<std::size_t, std::string>>;
+  EXPECT_EQ(attributed(report),
+            (Attributed{{1, analysis::msg::actual_ill_formed(1)},
+                        {2, analysis::msg::apparent_ill_formed(2)}}));
+}
+
+TEST(CheckerSensitivity, IllFormedStatesReportedAlikeByStreamingAndOracle) {
+  // A partitioned run with repeated requests: the streaming checker must
+  // flag the same ill-formed apparent and actual states, at the same
+  // transaction indices, as the post-hoc oracle.
+  auto sc = harness::partitioned_wan(3, 3.0, 9.0);
+  shard::Cluster<LeakyAirline> cluster(sc.cluster_config<LeakyAirline>(41));
+  analysis::StreamingChecker<LeakyAirline> ck(3);
+  cluster.set_stream_observer(&ck);
+  harness::AirlineWorkload w;
+  w.duration = 12.0;
+  w.request_rate = 3.0;
+  w.mover_rate = 3.0;
+  w.duplicate_request_fraction = 0.3;
+  harness::drive_airline(cluster, w, 41);
+  cluster.run_until(w.duration);
+  cluster.settle();
+  ck.finish(cluster.scheduler().now());
+
+  const auto exec = cluster.execution();
+  ASSERT_EQ(ck.txs_finalized(), exec.size());
+  EXPECT_EQ(ck.order_violations(), 0u);
+  const auto oracle = analysis::check_prefix_subsequence_condition(exec);
+  EXPECT_EQ(attributed(ck.prefix_report()), attributed(oracle));
+  std::size_t apparent = 0, actual = 0;
+  for (std::size_t i = 0; i < oracle.violations().size(); ++i) {
+    const std::size_t tx = oracle.violation_tx(i);
+    const std::string& m = oracle.violations()[i];
+    apparent += m == analysis::msg::apparent_ill_formed(tx) ? 1 : 0;
+    actual += m == analysis::msg::actual_ill_formed(tx) ? 1 : 0;
+  }
+  EXPECT_GT(apparent, 0u);
+  EXPECT_GT(actual, 0u);
 }
 
 TEST(CheckerSensitivity, AtomicityCheckerRejectsInterlopers) {

@@ -20,6 +20,11 @@ TEST(Timestamp, ToStringFormat) {
   EXPECT_EQ((Timestamp{7, 3}).to_string(), "7@n3");
 }
 
+TEST(Timestamp, GtestPrintsToStringText) {
+  EXPECT_EQ(::testing::PrintToString(Timestamp{3, 1}),
+            (Timestamp{3, 1}).to_string());
+}
+
 TEST(LamportClock, TickIsStrictlyIncreasing) {
   LamportClock clk(2);
   Timestamp prev = clk.tick();

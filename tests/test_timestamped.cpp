@@ -3,9 +3,16 @@
 // cluster runs against the basic app.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "analysis/cost_bounds.hpp"
 #include "analysis/execution_checker.hpp"
 #include "analysis/fairness.hpp"
+#include "apps/airline/person_bits.hpp"
 #include "apps/airline/timestamped.hpp"
 #include "harness/scenario.hpp"
 #include "harness/workload.hpp"
@@ -89,6 +96,131 @@ TEST(TimestampedAirline, WellFormednessRequiresSortedDisjoint) {
   u.waiting = {{2, 100}, {1, 200}};
   u.assigned = {{3, 50}};
   EXPECT_TRUE(TsAir::well_formed(u));
+}
+
+/// The quadratic definition well_formed computed before it became linear,
+/// kept as the reference: both lists strictly increasing in (stamp,
+/// person), and no assigned person found on the wait list.
+bool quadratic_well_formed(const TsAir::State& s) {
+  const auto dup_free_sorted = [](const std::vector<TsEntry>& v) {
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      if (!(v[i - 1] < v[i])) return false;
+    }
+    return true;
+  };
+  if (!dup_free_sorted(s.assigned) || !dup_free_sorted(s.waiting)) {
+    return false;
+  }
+  for (const TsEntry& e : s.assigned) {
+    if (s.find_waiting(e.person) != nullptr) return false;
+  }
+  return true;
+}
+
+TEST(TimestampedAirline, WellFormednessMatchesQuadraticDefinition) {
+  std::mt19937_64 rng(20260416);
+  const auto pick = [&rng](std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(0, hi)(rng);
+  };
+  std::size_t bitset_runs = 0, sorted_runs = 0, ill_formed = 0, total = 0;
+  const auto check = [&](const TsAir::State& s) {
+    const std::size_t entries = s.assigned.size() + s.waiting.size();
+    al::Person max_id = 0;
+    for (const TsEntry& e : s.assigned) max_id = std::max(max_id, e.person);
+    for (const TsEntry& e : s.waiting) max_id = std::max(max_id, e.person);
+    if (!s.assigned.empty() && !s.waiting.empty()) {
+      ++(al::detail::PersonBits::fits(max_id, entries) ? bitset_runs
+                                                        : sorted_runs);
+    }
+    const bool expected = quadratic_well_formed(s);
+    ill_formed += expected ? 0 : 1;
+    ++total;
+    EXPECT_EQ(TsAir::well_formed(s), expected) << s;
+  };
+  check(TsAir::State{});
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Persons from a pool of consecutive ids from a base in 0..6000 (the
+    // bitset path when the base is low, the sort path when it is high) or
+    // of sparse ids (anywhere in the 32-bit range, UINT32_MAX among them);
+    // stamps from a small range so equal stamps fall back on the person
+    // order.
+    std::vector<al::Person> pool(pick(59) + 1);
+    if (trial % 2 == 0) {
+      const auto base = static_cast<al::Person>(pick(6000));
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        pool[i] = base + static_cast<al::Person>(i);
+      }
+    } else {
+      for (al::Person& p : pool) {
+        p = static_cast<al::Person>(
+            pick(std::numeric_limits<al::Person>::max()));
+      }
+      pool.front() = std::numeric_limits<al::Person>::max();
+    }
+    // Disjoint lists by construction; a person may still repeat within a
+    // list under another stamp, which is well formed.
+    std::shuffle(pool.begin(), pool.end(), rng);
+    const std::size_t split = pick(pool.size());
+    const auto fill = [&](std::size_t lo, std::size_t hi) {
+      std::vector<TsEntry> v;
+      if (lo == hi) return v;
+      for (std::size_t n = pick(30); n > 0; --n) {
+        v.push_back({pool[lo + pick(hi - lo - 1)], pick(20)});
+      }
+      std::sort(v.begin(), v.end());
+      v.erase(std::unique(v.begin(), v.end()), v.end());
+      return v;
+    };
+    TsAir::State s;
+    s.assigned = fill(0, split);
+    s.waiting = fill(split, pool.size());
+    // Then at most two defects: an entry copied next to itself, two
+    // neighbours swapped, or an assigned person added to the wait list
+    // (half the time the largest id, so the top bitset word is hit).
+    for (std::size_t k = pick(2); k > 0; --k) {
+      std::vector<TsEntry>& list = pick(1) == 0 ? s.assigned : s.waiting;
+      switch (pick(2)) {
+        case 0:
+          if (!list.empty()) {
+            const std::size_t i = pick(list.size() - 1);
+            list.insert(list.begin() + static_cast<long>(i), list[i]);
+          }
+          break;
+        case 1:
+          if (list.size() >= 2) {
+            const std::size_t i = pick(list.size() - 2);
+            std::swap(list[i], list[i + 1]);
+          }
+          break;
+        default:
+          if (!s.assigned.empty()) {
+            const TsEntry moved =
+                pick(1) == 0 ? *std::max_element(s.assigned.begin(),
+                                                 s.assigned.end(),
+                                                 [](const TsEntry& a,
+                                                    const TsEntry& b) {
+                                                   return a.person < b.person;
+                                                 })
+                             : s.assigned[pick(s.assigned.size() - 1)];
+            al::insert_sorted(s.waiting, {moved.person, pick(20)});
+          }
+      }
+    }
+    check(s);
+  }
+  // Both implementations of the cross-list check ran, on both verdicts.
+  EXPECT_GT(bitset_runs, 300u);
+  EXPECT_GT(sorted_runs, 300u);
+  EXPECT_GT(ill_formed, total / 10);
+  EXPECT_GT(total - ill_formed, total / 10);
+}
+
+TEST(TimestampedAirline, StatesPrintReadably) {
+  TsAir::State s;
+  s.assigned = {{3, 50}};
+  s.waiting = {{2, 100}, {1, 200}};
+  EXPECT_EQ(::testing::PrintToString(s), "AL=[P3@50] WL=[P2@100,P1@200]");
+  EXPECT_EQ(::testing::PrintToString(TsEntry{4, 7}), "P4@7");
 }
 
 TEST(TimestampedAirline, CostFunctionsMatchBasicShape) {
