@@ -26,38 +26,52 @@ namespace analysis {
 /// Conditions (1)–(4) of section 3.1, plus condition (3)'s determinism: for
 /// every transaction instance, re-running its decision part against the
 /// reconstructed apparent state must reproduce exactly the update and
-/// external actions the original run recorded.
+/// external actions the original run recorded. The apparent states come
+/// from one Execution::for_each_apparent_state pass. A transaction whose
+/// prefix names no transaction (an entry >= size(), which only the raw
+/// constructor admits) has no apparent state: it is reported under (1) and
+/// (2)/(3) are skipped for it alone.
 template <core::Application App>
 CheckReport check_prefix_subsequence_condition(
     const core::Execution<App>& exec) {
   CheckReport report(msg::kPrefixSubsequenceTitle);
-  for (std::size_t i = 0; i < exec.size(); ++i) {
-    const auto& tx = exec.tx(i);
-    // (1): I_i is a subsequence of {0..i-1}, strictly increasing.
-    for (std::size_t j = 0; j < tx.prefix.size(); ++j) {
-      if (tx.prefix[j] >= i) {
-        report.add_violation(msg::prefix_non_preceding(i, tx.prefix[j]), i);
+  // (1): I_i is a subsequence of {0..i-1}, strictly increasing. Checked
+  // for every transaction below `structured`, ahead of its (2)+(3).
+  std::size_t structured = 0;
+  const auto check_structure = [&](std::size_t end) {
+    for (; structured < end; ++structured) {
+      const std::size_t i = structured;
+      const auto& prefix = exec.tx(i).prefix;
+      for (std::size_t j = 0; j < prefix.size(); ++j) {
+        if (prefix[j] >= i) {
+          report.add_violation(msg::prefix_non_preceding(i, prefix[j]), i);
+        }
+        if (j > 0 && prefix[j] <= prefix[j - 1]) {
+          report.add_violation(msg::prefix_not_increasing(i, j), i);
+        }
       }
-      if (j > 0 && tx.prefix[j] <= tx.prefix[j - 1]) {
-        report.add_violation(msg::prefix_not_increasing(i, j), i);
-      }
     }
-    // (2)+(3): the recorded update/external actions must equal what the
-    // decision part yields on the apparent state t = result of the prefix
-    // subsequence applied to s0.
-    const typename App::State apparent = exec.apparent_state_before(i);
-    if (!App::well_formed(apparent)) {
-      report.add_violation(msg::apparent_ill_formed(i), i);
-    }
-    const core::DecisionResult<typename App::Update> redo =
-        App::decide(tx.request, apparent);
-    if (!(redo.update == tx.update)) {
-      report.add_violation(msg::update_mismatch(i), i);
-    }
-    if (redo.external_actions != tx.external_actions) {
-      report.add_violation(msg::actions_mismatch(i), i);
-    }
-  }
+  };
+  // (2)+(3): the recorded update/external actions must equal what the
+  // decision part yields on the apparent state t = result of the prefix
+  // subsequence applied to s0.
+  exec.for_each_apparent_state(
+      [&](std::size_t i, const typename App::State& apparent) {
+        check_structure(i + 1);
+        const auto& tx = exec.tx(i);
+        if (!App::well_formed(apparent)) {
+          report.add_violation(msg::apparent_ill_formed(i), i);
+        }
+        const core::DecisionResult<typename App::Update> redo =
+            App::decide(tx.request, apparent);
+        if (!(redo.update == tx.update)) {
+          report.add_violation(msg::update_mismatch(i), i);
+        }
+        if (redo.external_actions != tx.external_actions) {
+          report.add_violation(msg::actions_mismatch(i), i);
+        }
+      });
+  check_structure(exec.size());
   // (4): actual states must be well-formed (updates preserve
   // well-formedness; s0 is well-formed).
   typename App::State s = App::initial();

@@ -167,6 +167,8 @@ std::map<typename App::Priority::Entity, std::size_t> eligible_entities(
 /// also P < Q in s and all other actual database states occurring later."
 /// Hypotheses (transitive execution, centralized movers, eligible P and Q)
 /// must hold; the caller asserts them via the execution_checker functions.
+/// The apparent states come from one Execution::for_each_apparent_state
+/// pass, which skips a mover whose prefix names no transaction.
 template <core::Application App, class Classify,
           class Prio = typename App::Priority>
 CheckReport check_theorem25(const core::Execution<App>& exec,
@@ -174,13 +176,13 @@ CheckReport check_theorem25(const core::Execution<App>& exec,
   CheckReport report("theorem 25 priority freeze");
   const auto eligible = eligible_entities<App>(exec, cls);
   const auto states = exec.actual_states();
-  for (std::size_t m = 0; m < exec.size(); ++m) {
-    if (!cls.is_mover(exec.tx(m).request)) continue;
+  exec.for_each_apparent_state([&](std::size_t m,
+                                   const typename App::State& t) {
+    if (!cls.is_mover(exec.tx(m).request)) return;
     const auto& prefix = exec.tx(m).prefix;
     const auto in_prefix = [&prefix](std::size_t idx) {
       return std::binary_search(prefix.begin(), prefix.end(), idx);
     };
-    const typename App::State t = exec.apparent_state_before(m);
     for (const auto& [p, p_req] : eligible) {
       if (!in_prefix(p_req)) continue;
       for (const auto& [q, q_req] : eligible) {
@@ -197,7 +199,7 @@ CheckReport check_theorem25(const core::Execution<App>& exec,
         }
       }
     }
-  }
+  });
   return report;
 }
 

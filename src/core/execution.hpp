@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -54,9 +55,12 @@ class Execution {
   explicit Execution(std::vector<Tx> txs) : txs_(std::move(txs)) {}
 
   /// Append the next transaction in serial order. The prefix must reference
-  /// only earlier indices; it is sorted and deduplicated here.
+  /// only earlier indices; it is sorted (unless it already is) and
+  /// deduplicated here.
   void append(Tx tx) {
-    std::sort(tx.prefix.begin(), tx.prefix.end());
+    if (!std::is_sorted(tx.prefix.begin(), tx.prefix.end())) {
+      std::sort(tx.prefix.begin(), tx.prefix.end());
+    }
     tx.prefix.erase(std::unique(tx.prefix.begin(), tx.prefix.end()),
                     tx.prefix.end());
     if (!tx.prefix.empty() && tx.prefix.back() >= txs_.size()) {
@@ -82,6 +86,52 @@ class Execution {
   /// (paper t_{i-1}; condition (2)).
   State apparent_state_before(std::size_t i) const {
     return state_of_subsequence(txs_.at(i).prefix);
+  }
+
+  /// Calls f(i, apparent_state_before(i)) for every i, ascending, in one
+  /// pass. Each prefix is folded on from the longest leading run it shares
+  /// with the previously visited prefix, restored from the state snapshot
+  /// taken at the last multiple of kSnapshotEvery applied entries at or
+  /// below that run, so a run of transactions whose prefixes grow by a few
+  /// entries each costs a few App::apply calls per transaction instead of
+  /// |prefix|. This is UpdateLog's checkpoint replay applied to the
+  /// oracle. Runs are compared as sequences, not sets, so the states equal
+  /// the plain fold even for the unsorted or duplicated prefixes the raw
+  /// constructor admits. A transaction whose prefix names a non-existent
+  /// transaction (index >= size(), also only from the raw constructor) has
+  /// no apparent state and is not visited.
+  template <class F>
+  void for_each_apparent_state(F&& f) const {
+    State s = App::initial();
+    std::span<const std::size_t> applied;  // the entries folded into s
+    // snapshots[k]: the fold of applied[0, (k + 1) * kSnapshotEvery).
+    std::vector<State> snapshots;
+    const auto missing = [this](std::size_t j) { return j >= txs_.size(); };
+    for (std::size_t i = 0; i < txs_.size(); ++i) {
+      const std::vector<std::size_t>& prefix = txs_[i].prefix;
+      const std::size_t common = static_cast<std::size_t>(
+          std::mismatch(applied.begin(), applied.end(), prefix.begin(),
+                        prefix.end())
+              .first -
+          applied.begin());
+      if (std::any_of(prefix.begin() + common, prefix.end(), missing)) {
+        continue;
+      }
+      std::size_t from = applied.size();
+      if (common < applied.size()) {
+        const std::size_t keep = common / kSnapshotEvery;
+        snapshots.erase(snapshots.begin() + static_cast<std::ptrdiff_t>(keep),
+                        snapshots.end());
+        s = keep == 0 ? App::initial() : snapshots.back();
+        from = keep * kSnapshotEvery;
+      }
+      for (std::size_t k = from; k < prefix.size(); ++k) {
+        App::apply(txs_[prefix[k]].update, s);
+        if ((k + 1) % kSnapshotEvery == 0) snapshots.push_back(s);
+      }
+      applied = prefix;
+      f(i, static_cast<const State&>(s));
+    }
   }
 
   /// Apparent state *after* transaction i: T_i(t, t) where t is the apparent
@@ -145,6 +195,9 @@ class Execution {
   }
 
  private:
+  /// Applied entries between two for_each_apparent_state snapshots.
+  static constexpr std::size_t kSnapshotEvery = 32;
+
   std::vector<Tx> txs_;
 };
 

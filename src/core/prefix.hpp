@@ -19,9 +19,10 @@
 //     with timestamp < cut belong to the complete prefix.
 //
 // That is O(#nodes + #holes) per record instead of O(history). Analysis
-// consumes it through `expand()`, which maps (origin, seq) pairs back to
-// timestamps via a resolver (the cluster knows origin o's seq-th broadcast:
-// it is o's (seq-1)-th originated record) — reported checker semantics are
+// expands it once per record: shard::assemble_execution maps (origin, seq)
+// pairs straight to serial indices (origin o's seq-th broadcast is o's
+// (seq-1)-th originated record), and `expand()` gives the same set as
+// timestamps through a resolver — reported checker semantics are
 // bit-identical to the explicit vectors.
 #pragma once
 
@@ -68,7 +69,7 @@ struct PrefixRef {
 
   /// Materialize the explicit timestamp set, ascending. This is the lazy
   /// half of the interning bargain: producers pay O(#nodes), and only the
-  /// analysis layer ever pays O(|prefix|), once, here.
+  /// analysis layer ever pays O(|prefix|).
   std::vector<Timestamp> expand(const Resolver& resolve) const {
     std::vector<Timestamp> out;
     out.reserve(static_cast<std::size_t>(count()));

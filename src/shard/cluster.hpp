@@ -253,8 +253,8 @@ class Cluster {
   }
 
   /// Assemble the formal execution: all transactions from all origins in
-  /// global timestamp order, interned prefixes expanded (via
-  /// prefix_resolver) and mapped from timestamps to indices.
+  /// global timestamp order, interned prefixes expanded to serial indices
+  /// (see shard::assemble_execution).
   core::Execution<App> execution() const { return assemble_execution(nodes_); }
 
   sim::Scheduler& scheduler() { return scheduler_; }

@@ -6,9 +6,14 @@
 // code whichever backend produced the run.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/execution.hpp"
@@ -47,9 +52,9 @@ bool converged(const NodeVector<App>& nodes) {
 /// Maps (origin, 1-based broadcast seq) to that broadcast's timestamp:
 /// origin o's seq-th broadcast is its (seq-1)-th originated record. This
 /// is the lazy half of prefix interning — Records carry O(#nodes)
-/// references (core::PrefixRef); only the analysis layer, through this
-/// resolver, ever materializes the O(history) timestamp sets. The resolver
-/// reads `nodes` when called, so it must not outlive the vector.
+/// references (core::PrefixRef); only the analysis layer ever
+/// materializes the O(history) sets. The resolver reads `nodes` when
+/// called, so it must not outlive the vector.
 template <core::Application App>
 core::PrefixRef::Resolver prefix_resolver(const NodeVector<App>& nodes) {
   return [&nodes](core::NodeId origin, std::uint64_t origin_seq) {
@@ -57,23 +62,71 @@ core::PrefixRef::Resolver prefix_resolver(const NodeVector<App>& nodes) {
   };
 }
 
-/// Assemble the formal execution: all transactions from all origins in
-/// global timestamp order, interned prefixes expanded (via
-/// prefix_resolver) and mapped from timestamps to indices.
+/// Assemble the formal execution from every origin's records
+/// (`originated[o]` is origin o's, in broadcast order): all transactions in
+/// global timestamp order, interned prefixes expanded to serial indices.
+///
+/// The expansion never goes through timestamps. Once the records are
+/// sorted, index[o][seq-1] is the serial index of origin o's seq-th
+/// broadcast, and a serializable cut is an index bound (serial order is
+/// timestamp order, so ts < cut iff index < lower_bound(cut)). Each prefix
+/// is marked into one reusable n-bit set — its contiguous runs, then its
+/// extras — and read out ascending up to the cut, which also deduplicates.
+/// That is O(n/64 + |prefix|) per transaction and Execution::append finds
+/// the prefix already sorted. The same set as
+/// PrefixRef::expand(prefix_resolver(nodes)) mapped through timestamps,
+/// and the same std::out_of_range for a seq beyond originated().
 template <core::Application App>
-core::Execution<App> assemble_execution(const NodeVector<App>& nodes) {
-  // Collect (timestamp -> record) across nodes; std::map orders by ts.
-  std::map<core::Timestamp, const TxRecord<App>*> by_ts;
-  for (const auto& n : nodes) {
-    for (const auto& rec : n->originated()) by_ts.emplace(rec.ts, &rec);
+core::Execution<App> assemble_execution(
+    const std::vector<const std::vector<TxRecord<App>>*>& originated) {
+  using Word = std::uint64_t;
+  constexpr std::size_t kWordBits = 64;
+  // (record, its origin), in serial order.
+  std::vector<std::pair<const TxRecord<App>*, std::size_t>> order;
+  std::vector<std::vector<std::size_t>> index(originated.size());
+  for (std::size_t o = 0; o < originated.size(); ++o) {
+    for (const auto& rec : *originated[o]) order.emplace_back(&rec, o);
+    index[o].resize(originated[o]->size());
   }
-  std::map<core::Timestamp, std::size_t> index_of;
-  std::size_t next = 0;
-  for (const auto& [ts, rec] : by_ts) index_of.emplace(ts, next++);
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first->ts < b.first->ts;
+  });
+  std::vector<core::Timestamp> stamps;
+  stamps.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const auto [rec, o] = order[i];
+    stamps.push_back(rec->ts);
+    index[o][static_cast<std::size_t>(rec - originated[o]->data())] = i;
+  }
 
-  const core::PrefixRef::Resolver resolve = prefix_resolver(nodes);
+  const std::size_t n = order.size();
+  std::vector<Word> members((n + kWordBits - 1) / kWordBits, 0);
+  const auto mark = [&members](std::size_t i) {
+    members[i / kWordBits] |= Word{1} << (i % kWordBits);
+  };
   core::Execution<App> exec;
-  for (const auto& [ts, rec] : by_ts) {
+  for (const auto& entry : order) {
+    const TxRecord<App>* rec = entry.first;
+    const core::PrefixRef& ref = rec->prefix;
+    for (std::size_t o = 0; o < ref.contiguous.size(); ++o) {
+      const auto count = static_cast<std::size_t>(ref.contiguous[o]);
+      if (count == 0) continue;
+      const std::vector<std::size_t>& of = index.at(o);
+      if (count > of.size()) {
+        throw std::out_of_range("prefix counts more broadcasts than origin " +
+                                std::to_string(o) + " originated");
+      }
+      for (std::size_t k = 0; k < count; ++k) mark(of[k]);
+    }
+    for (const auto& [origin, seq] : ref.extras) {
+      mark(index.at(origin).at(static_cast<std::size_t>(seq) - 1));
+    }
+    const std::size_t bound =
+        ref.cut ? static_cast<std::size_t>(
+                      std::lower_bound(stamps.begin(), stamps.end(), *ref.cut) -
+                      stamps.begin())
+                : n;
+
     core::TxInstance<App> tx;
     tx.ts = rec->ts;
     tx.origin = rec->origin;
@@ -81,12 +134,26 @@ core::Execution<App> assemble_execution(const NodeVector<App>& nodes) {
     tx.request = rec->request;
     tx.update = rec->update;
     tx.external_actions = rec->external_actions;
-    const std::vector<core::Timestamp> pts = rec->prefix.expand(resolve);
-    tx.prefix.reserve(pts.size());
-    for (const core::Timestamp& p : pts) tx.prefix.push_back(index_of.at(p));
+    tx.prefix.reserve(static_cast<std::size_t>(ref.count()));
+    for (std::size_t w = 0; w < members.size(); ++w) {
+      for (Word bits = members[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t j =
+            w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+        if (j < bound) tx.prefix.push_back(j);
+      }
+      members[w] = 0;
+    }
     exec.append(std::move(tx));
   }
   return exec;
+}
+
+template <core::Application App>
+core::Execution<App> assemble_execution(const NodeVector<App>& nodes) {
+  std::vector<const std::vector<TxRecord<App>>*> originated;
+  originated.reserve(nodes.size());
+  for (const auto& n : nodes) originated.push_back(&n->originated());
+  return assemble_execution<App>(originated);
 }
 
 inline obs::EventType fate_event_type(sim::Network::MessageFate fate) {

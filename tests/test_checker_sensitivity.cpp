@@ -148,6 +148,29 @@ TEST(CheckerSensitivity, OutOfRangePrefixEntryReportedNotThrown) {
   EXPECT_EQ(report.violation_tx(0), victim);
 }
 
+TEST(CheckerSensitivity, OutOfRangePrefixEntrySkipsOnlyItsDecisionReplay) {
+  // The same forged entry through the §3.1 checker: reported under
+  // condition (1), no throw, and conditions (2)/(3) skipped for the victim
+  // alone — its forged external actions go unreported, the last
+  // transaction's are caught.
+  auto txs = valid_execution(5).transactions();
+  ASSERT_GT(txs.size(), 4u);
+  const std::size_t victim = txs.size() / 2;
+  const std::size_t last = txs.size() - 1;
+  const std::size_t ref = txs.size() + 3;
+  txs[victim].prefix.push_back(ref);
+  txs[victim].external_actions.push_back({"forged", "victim"});
+  txs[last].external_actions.push_back({"forged", "last"});
+  const core::Execution<Air> forged(std::move(txs));
+  analysis::CheckReport report;
+  EXPECT_NO_THROW(report = analysis::check_prefix_subsequence_condition(forged));
+  const std::vector<std::string> want = {
+      analysis::msg::prefix_non_preceding(victim, ref),
+      analysis::msg::actions_mismatch(last)};
+  EXPECT_EQ(report.violations(), want);
+  EXPECT_EQ(report.violating_txs(), (std::vector<std::size_t>{victim, last}));
+}
+
 TEST(CheckerSensitivity, Theorem5CheckerRejectsWrongBound) {
   // With f == 0 the step-bound check must fail on any run where
   // overbooking ever increased.
